@@ -108,7 +108,7 @@ fn bench_cluster_bank(c: &mut Criterion) {
                 survivors.clear();
                 qgram_scratch.load(profile);
                 for (ri, rp) in ref_profiles.iter().enumerate() {
-                    if qgram_scratch.bound(rp) <= limit {
+                    if !qgram_scratch.exceeds(rp, limit) {
                         survivors.push(ri);
                     }
                 }

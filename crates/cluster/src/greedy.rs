@@ -11,7 +11,8 @@
 //!
 //! 1. an **error-ball prefilter** — the q-gram counting lower bound
 //!    ([`QGramProfile`]) discharges candidates whose distance provably
-//!    exceeds the threshold before any kernel runs;
+//!    exceeds the threshold before any kernel runs, most of them from
+//!    the gram-presence bitmaps alone (`QGramScratch::exceeds`);
 //! 2. the **multi-pattern kernel tier** — surviving candidates with equal
 //!    word counts are batched into [`PatternBank`]s so one pass over the
 //!    read advances up to [`MAX_LANES`] representatives at once (AVX2 /
@@ -233,7 +234,9 @@ impl GreedyClusterer {
                 }
                 run.candidates += 1;
                 if self.prefilter
-                    && scratch.qgram.bound(&reps[j].profile) > self.distance_threshold
+                    && scratch
+                        .qgram
+                        .exceeds(&reps[j].profile, self.distance_threshold)
                 {
                     run.pruned += 1;
                     continue;

@@ -24,6 +24,20 @@
 //!   the error ball, kernel calls, lanes filled), also accumulated
 //!   process-wide for the CLI's diagnostic line.
 //!
+//! # Cost of a hopeless candidate
+//!
+//! On archive strands the shared primers make the MinHash bands propose
+//! almost every group, and the error ball prunes nearly all of them. The
+//! signatures are left as they are (changing them would change
+//! memberships); instead both steps are cheap and exact. The candidate
+//! union is a bitset over group ids read out in ascending order — the
+//! same ascending, deduped list a sort and dedup gives. Each candidate is
+//! then tested with [`QGramScratch::exceeds`](dnasim_metrics::QGramScratch::exceeds),
+//! which first compares 1024-bit gram-presence bitmaps and scans the
+//! q-gram histogram only when that weaker bound is within the threshold.
+//! The weaker bound never exceeds the exact one, so the survivors, every
+//! counter and every membership are those of the exact bound alone.
+//!
 //! # Examples
 //!
 //! ```

@@ -134,8 +134,14 @@ pub(crate) struct OnlineState {
     reps: Vec<Representative>,
     /// band hash → cluster ids that expose it (the LSH shard map).
     buckets: HashMap<u64, Vec<usize>>,
+    /// One bit per cluster id: the candidate union of the current read.
+    /// All-zero between reads.
+    seen: Vec<u64>,
+    /// Indices of the `seen` words the current read set.
+    touched: Vec<usize>,
     scratch: AssignScratch,
     run: ClusterStats,
+    candidates: Vec<usize>,
     survivors: Vec<usize>,
     results: Vec<Option<usize>>,
 }
@@ -146,8 +152,11 @@ impl OnlineState {
             config,
             reps: Vec::new(),
             buckets: HashMap::new(),
+            seen: Vec::new(),
+            touched: Vec::new(),
             scratch: AssignScratch::default(),
             run: ClusterStats::default(),
+            candidates: Vec::new(),
             survivors: Vec::new(),
             results: Vec::new(),
         }
@@ -165,29 +174,50 @@ impl OnlineState {
         let sig = QGramSignature::new(read, self.config.qgram_len, self.config.sketch_len);
         let packed = PackedStrand::from(read);
         let profile = QGramProfile::new(read, self.config.qgram_len);
-        let mut candidates: Vec<usize> = sig
-            .hashes()
-            .iter()
-            .take(self.config.bands)
-            .filter_map(|h| self.buckets.get(h))
-            .flatten()
-            .copied()
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        self.run.candidates += candidates.len();
+
+        // Candidate union: mark every id in the read's band buckets in a
+        // bitset over cluster ids, then read the touched words out in
+        // ascending order (clearing them as they go) — the ascending,
+        // deduped list without sorting the ids themselves, which on
+        // primer-flanked strands number several per group.
+        self.seen.resize(self.reps.len().div_ceil(64), 0);
+        self.touched.clear();
+        for h in sig.hashes().iter().take(self.config.bands) {
+            for &id in self.buckets.get(h).into_iter().flatten() {
+                let word = &mut self.seen[id / 64];
+                if *word == 0 {
+                    self.touched.push(id / 64);
+                }
+                *word |= 1 << (id % 64);
+            }
+        }
+        self.touched.sort_unstable();
+        self.candidates.clear();
+        for &w in &self.touched {
+            let mut bits = std::mem::take(&mut self.seen[w]);
+            while bits != 0 {
+                self.candidates
+                    .push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        self.run.candidates += self.candidates.len();
 
         // Error-ball prefilter: a candidate whose q-gram lower bound
         // already exceeds the threshold cannot pass the kernel test, so
         // dropping it cannot change the clustering. The read's histogram
-        // is loaded once; each candidate is a read-only scan.
-        if self.config.prefilter && !candidates.is_empty() {
+        // and presence bitmap are loaded once; most candidates are then
+        // rejected by the bitmap alone (`QGramScratch::exceeds`).
+        if self.config.prefilter && !self.candidates.is_empty() {
             self.scratch.qgram.load(&profile);
         }
         self.survivors.clear();
-        for &id in &candidates {
+        for &id in &self.candidates {
             if self.config.prefilter
-                && self.scratch.qgram.bound(&self.reps[id].profile) > self.config.distance_threshold
+                && self
+                    .scratch
+                    .qgram
+                    .exceeds(&self.reps[id].profile, self.config.distance_threshold)
             {
                 self.run.pruned += 1;
                 continue;
@@ -304,7 +334,9 @@ impl ReferenceIndex {
             }
             run.candidates += 1;
             if config.prefilter
-                && scratch.qgram.bound(&self.profiles[ref_idx]) > config.distance_threshold
+                && scratch
+                    .qgram
+                    .exceeds(&self.profiles[ref_idx], config.distance_threshold)
             {
                 run.pruned += 1;
                 continue;
@@ -482,8 +514,8 @@ impl StreamingClusterer {
 mod tests {
     use super::*;
     use dnasim_channel::{ErrorModel, NaiveModel};
-    use dnasim_core::rng::{seeded, SliceRandom};
-    use dnasim_core::{Cluster, Dataset};
+    use dnasim_core::rng::{seeded, Rng, SimRng, SliceRandom};
+    use dnasim_core::{Base, Cluster, Dataset};
 
     /// Seeded noisy pools across several error rates and strand lengths —
     /// the same corpus the greedy filter differential uses.
@@ -583,6 +615,120 @@ mod tests {
                 .collect();
             assert_eq!(dataset, expected);
         }
+    }
+
+    #[test]
+    fn primer_flanked_pool_matches_materialised_pass() {
+        // Archive-shaped strands: two shared 20-base primers around a
+        // random payload. The primer grams make the MinHash bands collide
+        // for nearly every group, so each read's candidate union is about
+        // every group founded so far — the path the bitset union serves.
+        // More than 64 groups, so the union spans several bitset words.
+        let mut rng = seeded(204);
+        let model = NaiveModel::with_total_rate(0.06);
+        let left = Strand::random(20, &mut rng);
+        let right = Strand::random(20, &mut rng);
+        let references: Vec<Strand> = (0..80)
+            .map(|_| left.concat(&Strand::random(60, &mut rng)).concat(&right))
+            .collect();
+        let mut pool = Vec::new();
+        for r in &references {
+            for _ in 0..3 {
+                pool.push(model.corrupt(r, &mut rng));
+            }
+        }
+        pool.shuffle(&mut rng);
+        let config = GreedyClusterer::default();
+
+        let (expected_groups, expected_run) = config.cluster_stats(&pool);
+        let mut stream = StreamingClusterer::new(config);
+        let mut assignments = Vec::new();
+        let mut resident_before = 0usize;
+        for read in &pool {
+            let before = stream.resident_groups();
+            resident_before += before;
+            assignments.push(stream.push(read));
+            // The union is exactly the groups whose signature shares a
+            // band with the read's, ascending.
+            let sig = QGramSignature::new(read, config.qgram_len, config.sketch_len);
+            let oracle: Vec<usize> = (0..before)
+                .filter(|&g| stream.state.reps[g].sig.shares_band(&sig, config.bands))
+                .collect();
+            assert_eq!(stream.state.candidates, oracle);
+        }
+        assert!(
+            expected_groups.len() > 64,
+            "{} groups",
+            expected_groups.len()
+        );
+        assert_eq!(memberships(&assignments), expected_groups);
+        assert_eq!(stream.stats(), expected_run);
+        let proposed = expected_run.candidates as f64 / resident_before as f64;
+        assert!(
+            proposed > 0.85,
+            "only {proposed:.3} of resident groups proposed"
+        );
+
+        let (expected_dataset, expected_ref_run) =
+            config.cluster_against_references_stats(&pool, &references);
+        let mut stream = StreamingClusterer::with_references(config, &references);
+        let groups = memberships(&stream.push_batch(&pool));
+        assert_eq!(groups, expected_groups);
+        assert_eq!(stream.stats(), expected_ref_run);
+        let mut assigned: Vec<Vec<Strand>> = references.iter().map(|_| Vec::new()).collect();
+        for (gid, group) in groups.iter().enumerate() {
+            if let Some(ref_idx) = stream.group_reference(gid) {
+                assigned[ref_idx].extend(group.iter().map(|&i| pool[i].clone()));
+            }
+        }
+        let dataset: Dataset = references
+            .iter()
+            .zip(assigned)
+            .map(|(reference, reads)| Cluster::new(reference.clone(), reads))
+            .collect();
+        assert_eq!(dataset, expected_dataset);
+        assert!(dataset.total_reads() > pool.len() / 2, "most reads matched");
+    }
+
+    #[test]
+    fn candidate_union_is_ascending_across_bitset_words() {
+        // Groups 0..64 (bitset word 0) are random strands over {A, C},
+        // groups 64..70 (word 1) over {G, T}, so the two words' groups
+        // share no band bucket. A chimeric read glues a high-word strand
+        // to a low-word one; its buckets are probed in hash order, and
+        // whenever the smallest hash is a {G, T} gram the high word is
+        // touched first.
+        let mut rng = seeded(205);
+        let over = |pair: [Base; 2], rng: &mut SimRng| -> Strand {
+            Strand::from_bases(
+                (0..110)
+                    .map(|_| pair[(rng.next_u64() & 1) as usize])
+                    .collect(),
+            )
+        };
+        let mut strands: Vec<Strand> = (0..64)
+            .map(|_| over([Base::A, Base::C], &mut rng))
+            .collect();
+        strands.extend((0..6).map(|_| over([Base::G, Base::T], &mut rng)));
+        let config = GreedyClusterer::default();
+        let mut state = OnlineState::new(config);
+        for s in &strands {
+            state.assign(s);
+        }
+        assert_eq!(state.groups(), 70);
+        let mut high_first = 0;
+        for (i, j) in (0..8).flat_map(|i| (64..70).map(move |j| (i, j))) {
+            let read = strands[j].concat(&strands[i]);
+            let sig = QGramSignature::new(&read, config.qgram_len, config.sketch_len);
+            let oracle: Vec<usize> = (0..state.groups())
+                .filter(|&g| state.reps[g].sig.shares_band(&sig, config.bands))
+                .collect();
+            let first_bucket = state.buckets.get(&sig.hashes()[0]);
+            high_first += usize::from(first_bucket.is_some_and(|ids| ids.iter().all(|&g| g >= 64)));
+            state.assign(&read);
+            assert_eq!(state.candidates, oracle, "chimera {j}+{i}");
+        }
+        assert!(high_first > 0, "no read touched the high word first");
     }
 
     #[test]

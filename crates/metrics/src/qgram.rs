@@ -15,13 +15,32 @@
 //! Clustering uses this as a *prefilter*: a [`QGramProfile`] is built once
 //! per read or representative (one pass plus a sort of small integers),
 //! and candidates whose lower bound already exceeds the distance
-//! threshold are dropped before any Myers kernel runs. Comparing two
-//! profiles is a sorted-multiset merge — a few hundred integer compares
-//! versus thousands of word operations for a kernel call. The bound is
+//! threshold are dropped before any Myers kernel runs. The bound is
 //! conservative, never spurious: a pruned candidate provably cannot land
 //! within the threshold, so filtering can never change cluster
 //! membership (asserted by the filtered-vs-unfiltered differential in
 //! `dnasim-cluster`).
+//!
+//! # The bitmap pre-reject
+//!
+//! Most candidates the clusterer proposes are hopeless: archive strands
+//! all carry the same primers, so MinHash bands collide for nearly every
+//! group. [`QGramScratch::exceeds`] therefore answers "is the bound above
+//! `limit`?" in two steps. Each profile also carries a 1024-bit folded
+//! gram-presence bitmap (bit `code mod 1024`). A bucket set in `A` but
+//! not in `B` holds at least one `a`-gram that has no equal in `b` —
+//! equal grams fold to the same bucket — so
+//!
+//! ```text
+//! shared(a, b) ≤ min(|a| − popcnt(A ∧ ¬B), |b| − popcnt(B ∧ ¬A))
+//! ```
+//!
+//! and substituting that cap for `shared` gives a weaker bound, at most
+//! the exact one, from 16 word-wide `and-not`/popcount steps. Only when
+//! the weaker bound does not already exceed `limit` does the query fall
+//! through to the exact histogram scan. Either way the answer is exactly
+//! `bound > limit`: the pruned set, and with it every counter and every
+//! membership downstream, is the one the exact bound alone gives.
 //!
 //! # Examples
 //!
@@ -38,6 +57,20 @@
 
 use dnasim_core::Strand;
 
+/// Words in the folded gram-presence bitmap (16 × 64 = 1024 buckets).
+const PRESENCE_WORDS: usize = 16;
+
+/// The folded gram-presence bitmap of a gram list: bit `code mod 1024`
+/// is set iff some gram with that residue occurs. Exact (unfolded) for
+/// `q ≤ 5`, whose codes are all below 1024.
+fn presence(grams: &[u16]) -> [u64; PRESENCE_WORDS] {
+    let mut bits = [0u64; PRESENCE_WORDS];
+    for &g in grams {
+        bits[((g as usize) >> 6) % PRESENCE_WORDS] |= 1 << (g & 63);
+    }
+    bits
+}
+
 /// The sorted q-gram multiset of one strand, 2-bit packed (`q ≤ 8` keeps
 /// every gram in a `u16`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,6 +78,8 @@ pub struct QGramProfile {
     q: usize,
     /// Sorted 2-bit-packed gram codes, duplicates retained (multiset).
     grams: Vec<u16>,
+    /// Folded presence bitmap of `grams` (see [`QGramScratch::exceeds`]).
+    present: [u64; PRESENCE_WORDS],
 }
 
 impl QGramProfile {
@@ -70,7 +105,8 @@ impl QGramProfile {
                 .collect()
         };
         grams.sort_unstable();
-        QGramProfile { q, grams }
+        let present = presence(&grams);
+        QGramProfile { q, grams, present }
     }
 
     /// The gram length this profile was built with.
@@ -117,7 +153,6 @@ impl QGramProfile {
         let deficit = most - self.shared_grams(other);
         deficit.div_ceil(self.q)
     }
-
 }
 
 /// Load-once, query-many histogram for the hot-path variant of
@@ -131,7 +166,9 @@ impl QGramProfile {
 /// run-length scan of just the candidate's gram list, so comparing one
 /// read against many representatives costs `O(|candidate|)` per pair
 /// instead of `O(|read| + |candidate|)` plus a histogram rebuild. The
-/// bound is identical to the merge version.
+/// bound is identical to the merge version. The prefilter itself calls
+/// [`exceeds`](QGramScratch::exceeds), which rejects most hopeless
+/// candidates from the presence bitmaps alone (see the module docs).
 #[derive(Debug, Default)]
 pub struct QGramScratch {
     /// Dense gram counts of the loaded profile (all-zero outside it).
@@ -143,6 +180,8 @@ pub struct QGramScratch {
     loaded_q: usize,
     /// Gram count of the loaded profile.
     loaded_count: usize,
+    /// Presence bitmap of the loaded profile.
+    loaded_present: [u64; PRESENCE_WORDS],
 }
 
 impl QGramScratch {
@@ -171,6 +210,7 @@ impl QGramScratch {
         self.loaded.extend_from_slice(&profile.grams);
         self.loaded_q = profile.q;
         self.loaded_count = profile.grams.len();
+        self.loaded_present = profile.present;
     }
 
     /// Lower bound on the edit distance between the loaded strand and
@@ -200,12 +240,42 @@ impl QGramScratch {
         let most = self.loaded_count.max(grams.len());
         (most - shared).div_ceil(other.q)
     }
+
+    /// Whether [`bound`](QGramScratch::bound) against `other` exceeds
+    /// `limit` — the prefilter's question, answered exactly.
+    ///
+    /// First caps the shared-gram count from the presence bitmaps (an
+    /// occupied bucket the other side lacks holds at least one unshared
+    /// gram), which gives a bound no larger than the exact one; only when
+    /// that cheap bound is `≤ limit` does the exact histogram scan run.
+    /// Never prunes when nothing is loaded or the `q`s differ.
+    pub fn exceeds(&self, other: &QGramProfile, limit: usize) -> bool {
+        self.loaded_q == other.q
+            && (self.presence_bound(other) > limit || self.bound(other) > limit)
+    }
+
+    /// The bitmap bound: [`bound`](QGramScratch::bound)'s formula with the
+    /// shared-gram count replaced by its presence-bitmap cap, hence never
+    /// larger than `bound`. Assumes equal `q`s.
+    fn presence_bound(&self, other: &QGramProfile) -> usize {
+        let (mut only_loaded, mut only_other) = (0usize, 0usize);
+        for (&a, &b) in self.loaded_present.iter().zip(other.present.iter()) {
+            only_loaded += (a & !b).count_ones() as usize;
+            only_other += (b & !a).count_ones() as usize;
+        }
+        // Each occupied bucket holds at least one gram, so neither
+        // subtraction underflows.
+        let shared_cap = (self.loaded_count - only_loaded).min(other.grams.len() - only_other);
+        let most = self.loaded_count.max(other.grams.len());
+        (most - shared_cap).div_ceil(other.q)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dnasim_core::rng::{seeded, Rng};
+    use dnasim_core::Base;
 
     fn profile(text: &str, q: usize) -> QGramProfile {
         QGramProfile::new(&text.parse::<Strand>().unwrap(), q)
@@ -291,6 +361,153 @@ mod tests {
         let p4 = QGramProfile::new(&Strand::random(40, &mut rng), 4);
         scratch.load(&p3);
         assert_eq!(scratch.bound(&p4), 0);
+    }
+
+    /// Applies `edits` random substitutions, insertions and deletions.
+    fn mutate(strand: &Strand, edits: usize, rng: &mut impl Rng) -> Strand {
+        let mut bases = strand.as_bases().to_vec();
+        for _ in 0..edits {
+            let pos = (rng.next_u64() as usize) % (bases.len() + 1);
+            match rng.next_u64() % 3 {
+                0 if pos < bases.len() => bases[pos] = Base::random(rng),
+                1 => bases.insert(pos, Base::random(rng)),
+                _ if pos < bases.len() => {
+                    bases.remove(pos);
+                }
+                _ => bases.push(Base::random(rng)),
+            }
+        }
+        Strand::from_bases(bases)
+    }
+
+    /// `exceeds` must agree with `bound > limit` for every limit, in both
+    /// load directions. Returns how many of those answers the bitmap bound
+    /// settled on its own.
+    fn assert_exceeds_matches(
+        scratch: &mut QGramScratch,
+        a: &QGramProfile,
+        b: &QGramProfile,
+    ) -> usize {
+        let mut settled = 0;
+        for (loaded, other) in [(a, b), (b, a)] {
+            scratch.load(loaded);
+            let exact = scratch.bound(other);
+            if loaded.q() == other.q() {
+                let weak = scratch.presence_bound(other);
+                assert!(weak <= exact, "bitmap bound {weak} > exact {exact}");
+                settled += weak.min(41);
+            }
+            for limit in 0..=40 {
+                assert_eq!(
+                    scratch.exceeds(other, limit),
+                    exact > limit,
+                    "q={} limit={limit} exact={exact}",
+                    loaded.q()
+                );
+            }
+        }
+        settled
+    }
+
+    #[test]
+    fn exceeds_matches_exact_bound_differential() {
+        let mut rng = seeded(31);
+        let mut scratch = QGramScratch::new();
+        // Primer-flanked pairs share 40 bases of flank, like archive
+        // strands: most grams are shared and the payload decides.
+        let left = Strand::random(20, &mut rng);
+        let right = Strand::random(20, &mut rng);
+        let flank = |payload: &Strand| left.concat(payload).concat(&right);
+        let (mut settled, mut asked) = (0usize, 0usize);
+        for round in 0..120 {
+            let len = (rng.next_u64() % 140) as usize;
+            let a = Strand::random(len, &mut rng);
+            let strands = [
+                (
+                    a.clone(),
+                    Strand::random((rng.next_u64() % 140) as usize, &mut rng),
+                ),
+                (a.clone(), mutate(&a, round % 25, &mut rng)),
+                (flank(&a), flank(&Strand::random(len, &mut rng))),
+                (flank(&a), flank(&mutate(&a, round % 25, &mut rng))),
+            ];
+            for (x, y) in &strands {
+                for q in 1..=8 {
+                    let (px, py) = (QGramProfile::new(x, q), QGramProfile::new(y, q));
+                    settled += assert_exceeds_matches(&mut scratch, &px, &py);
+                    asked += 2 * 41;
+                }
+            }
+        }
+        // Both paths ran: the bitmap settled some answers, the exact scan
+        // the rest.
+        assert!(
+            settled > 0 && settled < asked,
+            "settled {settled} of {asked}"
+        );
+    }
+
+    #[test]
+    fn exceeds_edge_cases_never_prune_unsoundly() {
+        let mut rng = seeded(32);
+        let mut scratch = QGramScratch::new();
+        let long = Strand::random(120, &mut rng);
+        // A scratch with nothing loaded never prunes.
+        for q in 1..=8 {
+            let p = QGramProfile::new(&long, q);
+            for limit in 0..=40 {
+                assert!(
+                    !scratch.exceeds(&p, limit),
+                    "unloaded scratch pruned (q={q})"
+                );
+            }
+        }
+        for q in 1..=8 {
+            let empty = QGramProfile::new(&Strand::new(), q);
+            let stub = QGramProfile::new(&Strand::random(q - 1, &mut rng), q);
+            let exact_q = QGramProfile::new(&Strand::random(q, &mut rng), q);
+            let full = QGramProfile::new(&long, q);
+            for (a, b) in [
+                (&empty, &empty),
+                (&empty, &stub),
+                (&stub, &exact_q),
+                (&empty, &full),
+                (&stub, &full),
+                (&exact_q, &full),
+            ] {
+                assert_exceeds_matches(&mut scratch, a, b);
+            }
+        }
+        // Mismatched q: no information, never prunes.
+        for (qa, qb) in [(3usize, 4usize), (5, 8), (1, 2)] {
+            let a = QGramProfile::new(&long, qa);
+            let b = QGramProfile::new(&Strand::random(120, &mut rng), qb);
+            scratch.load(&a);
+            for limit in 0..=40 {
+                assert!(!scratch.exceeds(&b, limit));
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_bound_is_tight_when_one_side_is_all_unshared() {
+        // `a` is one gram repeated; `b`'s grams are all distinct and none
+        // is `a`'s. The cap is `min(37 − 1, 37 − 37) = 0`, so the bitmap
+        // bound equals the exact ⌈37/4⌉ = 10.
+        let a = profile(&"A".repeat(40), 4);
+        let b = profile("ACGTTGCACCTAGGATCCGTACTTGACAGTCATGCGGCTA", 4);
+        assert_eq!(b.gram_count(), 37);
+        assert!(
+            b.grams.windows(2).all(|w| w[0] < w[1]),
+            "b's grams are distinct"
+        );
+        assert_eq!(a.shared_grams(&b), 0);
+        let mut scratch = QGramScratch::new();
+        scratch.load(&a);
+        assert_eq!(scratch.bound(&b), 10);
+        assert_eq!(scratch.presence_bound(&b), 10);
+        scratch.load(&b);
+        assert_eq!(scratch.presence_bound(&a), 10);
     }
 
     #[test]

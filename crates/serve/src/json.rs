@@ -56,14 +56,6 @@ impl Json {
         }
     }
 
-    /// The value as an `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The value as a non-negative integer, if it is a number with no
     /// fractional part within the exactly-representable `f64` range.
     pub fn as_usize(&self) -> Option<usize> {

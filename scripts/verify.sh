@@ -19,16 +19,21 @@
 #    (tests/golden_pipeline.rs → golden_pipeline.txt) is diffed under
 #    both thread counts, which is DESIGN.md §9's contract that thread
 #    count never changes output.
-# 6. Run the chaos fault-injection suite in smoke mode.
-# 7. Guard: `crates/metrics` (the edit-distance kernels clustering and
+# 6. Run every workspace test target once (`cargo test --workspace`):
+#    the crate unit, integration and doc tests that the root-package
+#    runs above do not reach — among them the q-gram prefilter's
+#    bitmap-vs-exact differential in dnasim-metrics, the codec, dataset,
+#    profile, reconstruct and channel property suites, and the CLI tests.
+# 7. Run the chaos fault-injection suite in smoke mode.
+# 8. Guard: `crates/metrics` (the edit-distance kernels clustering and
 #    evaluation trust) must stay free of registry dependencies too.
-# 8. Run the kernel differential suite twice — once with the runtime SIMD
+# 9. Run the kernel differential suite twice — once with the runtime SIMD
 #    dispatch active and once with DNASIM_SIMD=off — so the Myers kernels
 #    (single-pattern and the multi-pattern bank tier) agree bit-for-bit
 #    with the scalar DP oracle on both sides of the dispatch. A guard also
 #    checks that every metrics source using `unsafe` carries
 #    `deny(unsafe_op_in_unsafe_fn)` and SAFETY comments.
-# 9. Streaming equivalence: the bounded-memory pipeline
+# 10. Streaming equivalence: the bounded-memory pipeline
 #    (tests/streaming_equivalence.rs) must be byte-identical to the
 #    in-memory path at DNASIM_THREADS=1 and =4 — including the online
 #    streaming clusterer diffed against the materialised greedy pass on
@@ -38,22 +43,22 @@
 #    whole-dataset files exactly (DESIGN.md §11, §16). The cluster crate
 #    suite also re-runs under DNASIM_SIMD=off so lane accounting holds on
 #    the portable fallback.
-# 10. Serve soak smoke: the multi-tenant batch RPC tier must answer ≥200
+# 11. Serve soak smoke: the multi-tenant batch RPC tier must answer ≥200
 #    interleaved requests byte-identically to isolated serial execution
 #    (tests/serve_soak.rs in smoke mode), and the `dnasim serve` pipe must
 #    honour the exit-code contract (responses + exit 0 on valid JSONL,
 #    usage + exit 2 on a malformed line, never a panic).
-# 11. Bench smoke: scripts/bench.sh --fast must produce parseable reports
+# 12. Bench smoke: scripts/bench.sh --fast must produce parseable reports
 #    (the workspace groups, the cross-format parse group, the
 #    multi-pattern clustering group, and the streaming-clusterer group),
 #    and the committed BENCH_004.json … BENCH_009.json reports (when
 #    present) must still validate.
-# 12. Cancellation chaos smoke: the `dnasim chaos --json` grid (including
+# 13. Cancellation chaos smoke: the `dnasim chaos --json` grid (including
 #    the stalled-source / sink-write-failure / budget-exhaustion
 #    streaming faults) must report clean, and a deadline-metered serve
 #    pipe must answer with a typed `deadline` response and exit 0
 #    (DESIGN.md §13).
-# 13. Lint gate: `cargo clippy --all-targets -- -D warnings` must pass.
+# 14. Lint gate: `cargo clippy --all-targets -- -D warnings` must pass.
 #
 # Usage: scripts/verify.sh
 
@@ -186,6 +191,9 @@ CARGO_NET_OFFLINE=true DNASIM_THREADS=1 cargo test -q
 
 echo "== test suite (DNASIM_THREADS=4) =="
 CARGO_NET_OFFLINE=true DNASIM_THREADS=4 cargo test -q
+
+echo "== workspace test suite (every crate's targets) =="
+CARGO_NET_OFFLINE=true cargo test --workspace -q
 
 echo "== chaos suite (smoke) =="
 CARGO_NET_OFFLINE=true DNASIM_BENCH_FAST=1 cargo test -q -p dnasim-faults --test chaos
