@@ -16,17 +16,36 @@ fn bench_edit_script(c: &mut Criterion) {
     let mut rng = seeded(1);
     let reference = Strand::random(110, &mut rng);
     let read = NaiveModel::with_total_rate(0.059).corrupt(&reference, &mut rng);
-    c.bench_function("edit-script/110bp", |b| {
-        let mut rng = seeded(2);
-        b.iter(|| {
-            edit_script(
-                black_box(&reference),
-                black_box(&read),
-                TieBreak::Random,
-                &mut rng,
-            )
-        })
-    });
+    // The archive strand shape: 152 nt at a low error rate, the narrow
+    // band reconstruction refines against.
+    let archive_ref = Strand::random(152, &mut rng);
+    let archive_read = NaiveModel::with_total_rate(0.03).corrupt(&archive_ref, &mut rng);
+    // Worst case: unrelated strands, where the band is widest (about half
+    // the matrix).
+    let unrelated_ref = Strand::random(110, &mut rng);
+    let unrelated_read = Strand::random(110, &mut rng);
+    let cases = [
+        ("edit-script/110bp", &reference, &read),
+        ("edit-script/152bp-3pct", &archive_ref, &archive_read),
+        (
+            "edit-script/110bp-unrelated",
+            &unrelated_ref,
+            &unrelated_read,
+        ),
+    ];
+    for (name, reference, read) in cases {
+        c.bench_function(name, |b| {
+            let mut rng = seeded(2);
+            b.iter(|| {
+                edit_script(
+                    black_box(reference),
+                    black_box(read),
+                    TieBreak::Random,
+                    &mut rng,
+                )
+            })
+        });
+    }
 }
 
 fn bench_stats_recording(c: &mut Criterion) {

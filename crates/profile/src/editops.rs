@@ -7,9 +7,21 @@
 //! maximum-likelihood proxy, and break ties between equal-cost operation
 //! sequences **randomly** so that no error kind is systematically
 //! over-counted (the deterministic alternative is kept for ablation).
+//!
+//! Reads sit a few edits from their reference, so the DP only fills the
+//! band of diagonals a minimal script can use. The band is sized by the
+//! exact Levenshtein distance `d`, taken first from the bit-parallel
+//! [`myers`] kernel: a cell's distances from the main diagonal and from
+//! the end diagonal add up to at most `d` on every minimal path, so those
+//! cells come out exact and every other band cell reads no smaller than
+//! its true value. The traceback therefore sees the same minimal
+//! predecessors, in the same order, as on the full `(m+1)·(n+1)` matrix —
+//! the same script and the same random draws — from a small fraction of
+//! the cells.
 
-use dnasim_core::{Base, EditOp, EditScript, Strand};
 use dnasim_core::rng::{Rng, RngExt};
+use dnasim_core::{Base, EditOp, EditScript, PackedStrand, Strand};
+use dnasim_metrics::myers::{self, MyersScratch};
 
 /// Tie-breaking policy when several minimal edit paths exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,19 +35,22 @@ pub enum TieBreak {
     PreferSubstitution,
 }
 
-/// Reusable DP-matrix buffer for [`edit_script_with`].
+/// Reusable buffers for [`edit_script_with`]: the banded DP matrix and the
+/// Myers scratch that sizes the band.
 ///
-/// The edit-script DP allocates an `O(m·n)` matrix per (reference, read)
-/// pair; profiling a dataset or refining a consensus calls it once per
-/// read, so hot loops allocate one scratch and thread it through every
-/// call. The buffer only ever grows, to the largest pair seen.
+/// Profiling a dataset or refining a consensus calls the edit-script DP
+/// once per read, so hot loops allocate one scratch and thread it through
+/// every call. The band buffer holds `(m+1) × (band+2)` cells — a few
+/// diagonals per row for a read near its reference, the whole matrix only
+/// for unrelated pairs — and only ever grows, to the largest pair seen.
 #[derive(Debug, Clone, Default)]
 pub struct EditScratch {
     dp: Vec<u32>,
+    myers: MyersScratch,
 }
 
 impl EditScratch {
-    /// Creates an empty scratch; the matrix grows on first use.
+    /// Creates an empty scratch; the buffers grow on first use.
     pub fn new() -> EditScratch {
         EditScratch::default()
     }
@@ -47,7 +62,7 @@ impl EditScratch {
 /// the Levenshtein distance between the two strands, and applying the
 /// script to `reference` reproduces `read` exactly.
 ///
-/// Allocates a fresh DP matrix per call; loops over many reads should use
+/// Allocates fresh buffers per call; loops over many reads should use
 /// [`edit_script_with`] with a shared [`EditScratch`].
 ///
 /// # Examples
@@ -73,8 +88,13 @@ pub fn edit_script<R: Rng + ?Sized>(
     edit_script_with(&mut EditScratch::new(), reference, read, tie_break, rng)
 }
 
-/// [`edit_script`] with a caller-provided scratch buffer — identical
-/// output, no per-call matrix allocation once the scratch has grown.
+/// Out-of-band cell value: larger than any distance a strand pair can
+/// reach, and small enough that `SENTINEL + 1` cannot overflow.
+const SENTINEL: u32 = u32::MAX / 2;
+
+/// [`edit_script`] with a caller-provided scratch — identical output, no
+/// per-call DP allocation once the scratch has grown (only the two packed
+/// strands that size the band are built per call).
 pub fn edit_script_with<R: Rng + ?Sized>(
     scratch: &mut EditScratch,
     reference: &Strand,
@@ -86,38 +106,97 @@ pub fn edit_script_with<R: Rng + ?Sized>(
     let b = read.as_bases();
     let (m, n) = (a.len(), b.len());
 
-    // Full DP matrix: dp[i][j] = Levenshtein distance between a[..i], b[..j].
-    // Strands are short (~100s of bases), so the O(m·n) matrix is cheap and
-    // lets the traceback consider every minimal predecessor. Every cell in
-    // the active window is written before it is read, so stale contents
-    // from a previous call never leak into the result.
-    let width = n + 1;
+    // Band of diagonals k = j − i a minimal path can use. Reaching cell
+    // (i, j) costs at least |k| edits (the length gap of the prefixes) and
+    // finishing from it at least |Δ − k|, Δ = n − m, so a cell on a path
+    // of total cost d has |k| + |Δ − k| ≤ d:
+    // −⌊(d − Δ)/2⌋ ≤ k ≤ ⌊(d + Δ)/2⌋. Since d ≥ |Δ| the band always holds
+    // diagonals 0 and Δ, and it never leaves the matrix's −m..=n.
+    let d = myers::distance_with(
+        &mut scratch.myers,
+        &PackedStrand::from(reference),
+        &PackedStrand::from(read),
+    ) as isize;
+    let delta = n as isize - m as isize;
+    let lo = -((d - delta) / 2);
+    let hi = (d + delta) / 2;
+    let band = (hi - lo + 1) as usize;
+
+    // Compact band matrix: row i holds diagonals lo−1..=hi+1 in columns
+    // 0..=band+1, so cell (i, j) sits at column j − i − lo + 1 and its
+    // diagonal, upper and left neighbours at the same column of row i−1,
+    // the next column of row i−1, and the previous column of row i. The
+    // two outer columns hold SENTINEL: a neighbour outside the band reads
+    // as "no minimal path through here". Every in-matrix band cell is
+    // written before it is read, so stale contents from a previous call
+    // never leak into the result.
+    let width = band + 2;
+    let off = (1 - lo) as usize;
     let size = (m + 1) * width;
     if scratch.dp.len() < size {
         scratch.dp.resize(size, 0);
     }
     let dp = &mut scratch.dp[..size];
-    for (j, cell) in dp.iter_mut().enumerate().take(n + 1) {
+    for (j, cell) in dp[off..=off + hi as usize].iter_mut().enumerate() {
         *cell = j as u32;
     }
+    dp[0] = SENTINEL;
+    dp[width - 1] = SENTINEL;
     for i in 1..=m {
-        dp[i * width] = i as u32;
-        for j in 1..=n {
-            let cost = if a[i - 1] == b[j - 1] { 0 } else { 1 };
-            let diag = dp[(i - 1) * width + (j - 1)] + cost;
-            let up = dp[(i - 1) * width + j] + 1;
-            let left = dp[i * width + (j - 1)] + 1;
-            dp[i * width + j] = diag.min(up).min(left);
+        let (prev, cur) = dp[(i - 1) * width..(i + 1) * width].split_at_mut(width);
+        cur[0] = SENTINEL;
+        cur[width - 1] = SENTINEL;
+        let first = i as isize + lo;
+        if first <= 0 {
+            // Column 0 of the matrix is still inside the band.
+            cur[off - i] = i as u32;
+        }
+        let jlo = first.max(1) as usize;
+        let jhi = (i as isize + hi).min(n as isize);
+        if jhi < jlo as isize {
+            continue;
+        }
+        let jhi = jhi as usize;
+        let (clo, chi) = (jlo + off - i, jhi + off - i);
+        let ai = a[i - 1];
+        let mut left = cur[clo - 1];
+        for (((cell, &diag), &up), &bj) in cur[clo..=chi]
+            .iter_mut()
+            .zip(&prev[clo..=chi])
+            .zip(&prev[clo + 1..=chi + 1])
+            .zip(&b[jlo - 1..jhi])
+        {
+            let v = (diag + (ai != bj) as u32).min(up + 1).min(left + 1);
+            *cell = v;
+            left = v;
         }
     }
 
+    let stride = width - 1;
+    traceback(a, b, |i, j| dp[i * stride + j + off], tie_break, rng)
+}
+
+/// Walks the DP from (m, n) back to (0, 0), collecting one minimal script.
+///
+/// `cell(i, j)` reads the DP value for prefixes `a[..i]`, `b[..j]`; it must
+/// be exact on every cell of a minimal path and no smaller than the true
+/// value anywhere else, so each `cell(pred) + 1 == here` test answers as
+/// it would on the full matrix.
+fn traceback<R: Rng + ?Sized>(
+    a: &[Base],
+    b: &[Base],
+    cell: impl Fn(usize, usize) -> u32,
+    tie_break: TieBreak,
+    rng: &mut R,
+) -> EditScript {
+    let (m, n) = (a.len(), b.len());
     // Traceback from (m, n), collecting ops in reverse.
     let mut ops: Vec<EditOp> = Vec::with_capacity(m.max(n));
     let (mut i, mut j) = (m, n);
     // Reused candidate buffer for the ≤3 minimal predecessors at each cell.
     let mut candidates: [Option<EditOp>; 3] = [None; 3];
     while i > 0 || j > 0 {
-        let here = dp[i * width + j];
+        let here = cell(i, j);
         if i > 0 && j > 0 && a[i - 1] == b[j - 1] {
             // Matching characters always admit the zero-cost diagonal (the
             // paper's EQUAL branch is unconditional).
@@ -127,18 +206,18 @@ pub fn edit_script_with<R: Rng + ?Sized>(
             continue;
         }
         let mut count = 0;
-        if i > 0 && j > 0 && dp[(i - 1) * width + (j - 1)] + 1 == here {
+        if i > 0 && j > 0 && cell(i - 1, j - 1) + 1 == here {
             candidates[count] = Some(EditOp::Subst {
                 orig: a[i - 1],
                 new: b[j - 1],
             });
             count += 1;
         }
-        if i > 0 && dp[(i - 1) * width + j] + 1 == here {
+        if i > 0 && cell(i - 1, j) + 1 == here {
             candidates[count] = Some(EditOp::Delete(a[i - 1]));
             count += 1;
         }
-        if j > 0 && dp[i * width + (j - 1)] + 1 == here {
+        if j > 0 && cell(i, j - 1) + 1 == here {
             candidates[count] = Some(EditOp::Insert(b[j - 1]));
             count += 1;
         }
@@ -167,43 +246,160 @@ pub fn edit_script_with<R: Rng + ?Sized>(
     EditScript::from_ops(ops)
 }
 
-/// Convenience wrapper: the Levenshtein distance via the edit-script DP.
-///
-/// Exposed so callers that already pay for the script can assert
-/// consistency with `dnasim_metrics::levenshtein` cheaply in tests.
-pub fn edit_distance(reference: &Strand, read: &Strand) -> usize {
-    let a = reference.as_bases();
-    let b = read.as_bases();
-    let mut row: Vec<usize> = (0..=b.len()).collect();
-    for (i, ax) in a.iter().enumerate() {
-        let mut diag = row[0];
-        row[0] = i + 1;
-        for (j, bx) in b.iter().enumerate() {
-            let cost = if ax == bx { 0 } else { 1 };
-            let next = (diag + cost).min(row[j] + 1).min(row[j + 1] + 1);
-            diag = row[j + 1];
-            row[j + 1] = next;
-        }
-    }
-    row[b.len()]
-}
-
-/// A base paired with its position, used when reporting recovered errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PositionedBase {
-    /// 0-based position in the reference strand.
-    pub position: usize,
-    /// The base at that position.
-    pub base: Base,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnasim_channel::{ErrorModel, NaiveModel};
     use dnasim_core::rng::seeded;
+    use dnasim_metrics::levenshtein;
 
     fn s(text: &str) -> Strand {
         text.parse().unwrap()
+    }
+
+    /// The full `(m+1)·(n+1)` DP matrix driving the same traceback: the
+    /// oracle the banded fill must reproduce exactly.
+    fn edit_script_full<R: Rng + ?Sized>(
+        reference: &Strand,
+        read: &Strand,
+        tie_break: TieBreak,
+        rng: &mut R,
+    ) -> EditScript {
+        let (a, b) = (reference.as_bases(), read.as_bases());
+        let width = b.len() + 1;
+        let mut dp = vec![0u32; (a.len() + 1) * width];
+        for (j, cell) in dp.iter_mut().enumerate().take(width) {
+            *cell = j as u32;
+        }
+        for i in 1..=a.len() {
+            dp[i * width] = i as u32;
+            for j in 1..=b.len() {
+                let cost = u32::from(a[i - 1] != b[j - 1]);
+                let diag = dp[(i - 1) * width + (j - 1)] + cost;
+                let up = dp[(i - 1) * width + j] + 1;
+                let left = dp[i * width + (j - 1)] + 1;
+                dp[i * width + j] = diag.min(up).min(left);
+            }
+        }
+        traceback(a, b, |i, j| dp[i * width + j], tie_break, rng)
+    }
+
+    /// Asserts the banded DP (through `scratch`) and the full-matrix
+    /// oracle give the same script and leave their RNGs in the same state,
+    /// under both tie-break policies.
+    fn assert_matches_oracle(scratch: &mut EditScratch, a: &Strand, b: &Strand, seed: u64) {
+        for tb in [TieBreak::Random, TieBreak::PreferSubstitution] {
+            let (mut banded_rng, mut full_rng) = (seeded(seed), seeded(seed));
+            let banded = edit_script_with(scratch, a, b, tb, &mut banded_rng);
+            let full = edit_script_full(a, b, tb, &mut full_rng);
+            assert_eq!(banded, full, "{tb:?}: {a} -> {b}");
+            assert_eq!(
+                banded_rng.random::<u64>(),
+                full_rng.random::<u64>(),
+                "{tb:?}: rng state diverged on {a} -> {b}"
+            );
+            assert_eq!(banded.apply(a).unwrap(), *b);
+            assert_eq!(
+                banded.error_count(),
+                levenshtein(a.as_bases(), b.as_bases())
+            );
+        }
+    }
+
+    #[test]
+    fn banded_matches_full_matrix_on_seeded_pairs() {
+        let mut gen = seeded(0xBA5E);
+        let mut scratch = EditScratch::new();
+        for case in 0..800u64 {
+            let len = gen.random_range(0..=300usize);
+            let reference = Strand::random(len, &mut gen);
+            let read = if case % 12 == 0 {
+                // Unrelated pair: the band covers the whole matrix.
+                let other = gen.random_range(0..=300usize);
+                Strand::random(other, &mut gen)
+            } else {
+                let rate = (case % 12) as f64 / 11.0;
+                NaiveModel::with_total_rate(rate).corrupt(&reference, &mut gen)
+            };
+            assert_matches_oracle(&mut scratch, &reference, &read, case);
+        }
+    }
+
+    #[test]
+    fn banded_matches_full_matrix_on_empty_and_pure_indel_pairs() {
+        let mut gen = seeded(0x1DE1);
+        let mut scratch = EditScratch::new();
+        let empty = Strand::new();
+        assert_matches_oracle(&mut scratch, &empty, &empty, 0);
+        for case in 0..200u64 {
+            let len = gen.random_range(1..=300usize);
+            let reference = Strand::random(len, &mut gen);
+            assert_matches_oracle(&mut scratch, &reference, &empty, case);
+            assert_matches_oracle(&mut scratch, &empty, &reference, case);
+            // Delete (or insert) one random block: |m − n| = d.
+            let cut = gen.random_range(0..len);
+            let run = gen.random_range(1..=len - cut);
+            let bases = reference.as_bases();
+            let shorter: Strand = bases[..cut]
+                .iter()
+                .chain(&bases[cut + run..])
+                .copied()
+                .collect();
+            assert_eq!(levenshtein(bases, shorter.as_bases()), run);
+            assert_matches_oracle(&mut scratch, &reference, &shorter, case);
+            assert_matches_oracle(&mut scratch, &shorter, &reference, case);
+        }
+    }
+
+    #[test]
+    fn banded_matches_full_matrix_at_myers_word_boundaries() {
+        let mut gen = seeded(0x64);
+        let mut scratch = EditScratch::new();
+        for d in [0usize, 1, 63, 64, 65] {
+            for len in [d, 64, 65, 128, 129, 200] {
+                if len < d {
+                    continue;
+                }
+                // Homopolymer reference with d substitutions: distance is
+                // exactly d, since every C in the read needs its own edit.
+                let reference: Strand = std::iter::repeat_n(Base::A, len).collect();
+                let mut bases = reference.as_bases().to_vec();
+                for k in 0..d {
+                    bases[k * len / d] = Base::C;
+                }
+                let subst = Strand::from(bases);
+                assert_eq!(levenshtein(reference.as_bases(), subst.as_bases()), d);
+                // Random reference with a d-base block appended: pure indel.
+                let random = Strand::random(len, &mut gen);
+                let mut longer = random.clone();
+                longer.extend((0..d).map(|_| Base::random(&mut gen)));
+                assert_eq!(levenshtein(random.as_bases(), longer.as_bases()), d);
+                for seed in 0..8 {
+                    assert_matches_oracle(&mut scratch, &reference, &subst, seed);
+                    assert_matches_oracle(&mut scratch, &subst, &reference, seed);
+                    assert_matches_oracle(&mut scratch, &random, &longer, seed);
+                    assert_matches_oracle(&mut scratch, &longer, &random, seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_large_small_large_matches_full_matrix() {
+        let mut gen = seeded(0x5C4A);
+        let mut scratch = EditScratch::new();
+        for (len, rate) in [
+            (300, 1.0),
+            (5, 0.2),
+            (40, 0.0),
+            (300, 0.05),
+            (2, 1.0),
+            (300, 0.6),
+        ] {
+            let reference = Strand::random(len, &mut gen);
+            let read = NaiveModel::with_total_rate(rate).corrupt(&reference, &mut gen);
+            assert_matches_oracle(&mut scratch, &reference, &read, len as u64);
+        }
     }
 
     #[test]
@@ -242,7 +438,11 @@ mod tests {
             for tb in [TieBreak::Random, TieBreak::PreferSubstitution] {
                 let script = edit_script(&a, &b, tb, &mut rng);
                 assert_eq!(script.apply(&a).unwrap(), b, "{a} -> {b}");
-                assert_eq!(script.error_count(), edit_distance(&a, &b), "{a} -> {b}");
+                assert_eq!(
+                    script.error_count(),
+                    levenshtein(a.as_bases(), b.as_bases()),
+                    "{a} -> {b}"
+                );
             }
         }
     }

@@ -73,6 +73,25 @@ proptest! {
         prop_assert_eq!(script.error_count(), levenshtein(a.as_bases(), b.as_bases()));
     }
 
+    #[test]
+    fn edit_script_of_mutated_read_applies_and_is_minimal(
+        reference in strand(0..300),
+        permille in 0u32..=300,
+        seed in 0u64..1000,
+    ) {
+        // A read a few edits from its reference: the DP band is narrow, so
+        // this exercises the banded fill rather than a whole-matrix band.
+        let mut rng = seeded(seed);
+        let read = NaiveModel::with_total_rate(f64::from(permille) / 1000.0)
+            .corrupt(&reference, &mut rng);
+        let script = dnasim::profile::edit_script(&reference, &read, TieBreak::Random, &mut rng);
+        prop_assert_eq!(script.apply(&reference).unwrap(), read.clone());
+        prop_assert_eq!(
+            script.error_count(),
+            levenshtein(reference.as_bases(), read.as_bases())
+        );
+    }
+
     // ---------- channel invariants ----------
 
     #[test]
