@@ -11,7 +11,7 @@ use dnasim_testkit::bench::Criterion;
 use dnasim_testkit::{criterion_group, criterion_main};
 use std::hint::black_box;
 
-use dnasim_core::{pump, pump_prefetch, NullSink};
+use dnasim_core::{pump, NullSink, PrefetchSource};
 use dnasim_dataset::{
     write_dataset, write_dataset_format, AnyDatasetReader, BinaryDatasetReader, DatasetReader,
     Format, NanoporeTwinConfig,
@@ -42,7 +42,8 @@ fn bench_parse(c: &mut Criterion) {
         b.iter(|| {
             let mut source = DatasetReader::new(black_box(&text[..]));
             let mut sink = NullSink::default();
-            let window = pump(&mut source, &mut sink, BATCH, Ok).expect("parse text");
+            let window =
+                pump(&mut source, &mut sink, BATCH, None, "parse", Ok).expect("parse text");
             assert_eq!(window.clusters, CLUSTERS);
             window.clusters
         })
@@ -51,7 +52,8 @@ fn bench_parse(c: &mut Criterion) {
         b.iter(|| {
             let mut source = BinaryDatasetReader::new(black_box(&binary[..]));
             let mut sink = NullSink::default();
-            let window = pump(&mut source, &mut sink, BATCH, Ok).expect("parse binary");
+            let window =
+                pump(&mut source, &mut sink, BATCH, None, "parse", Ok).expect("parse binary");
             assert_eq!(window.clusters, CLUSTERS);
             window.clusters
         })
@@ -64,8 +66,9 @@ fn bench_parse(c: &mut Criterion) {
             let source = AnyDatasetReader::detect(std::io::Cursor::new(black_box(binary.clone())))
                 .expect("detect binary");
             let mut sink = NullSink::default();
-            let window =
-                pump_prefetch(source, &mut sink, BATCH, Ok).expect("parse binary prefetch");
+            let mut prefetch = PrefetchSource::spawn(source, BATCH).expect("spawn prefetch");
+            let window = pump(&mut prefetch, &mut sink, BATCH, None, "parse", Ok)
+                .expect("parse binary prefetch");
             assert_eq!(window.clusters, CLUSTERS);
             window.clusters
         })

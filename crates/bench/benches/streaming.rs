@@ -16,7 +16,7 @@ use dnasim_channel::{CoverageModel, KeoliyaModel, Simulator, SimulatorLayer};
 use dnasim_core::rng::{seeded, SeedSequence};
 use dnasim_core::NullSink;
 use dnasim_dataset::{write_dataset, DatasetReader, NanoporeTwinConfig};
-use dnasim_par::ThreadPool;
+use dnasim_par::{Run, ThreadPool};
 use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};
 
 /// Clusters per benchmarked run — larger than the biggest batch size so
@@ -37,8 +37,13 @@ fn bench_streaming_generate(c: &mut Criterion) {
         c.bench_function(format!("streaming/generate/batch-{batch_size}"), |b| {
             b.iter(|| {
                 let mut sink = NullSink::default();
+                let run = Run {
+                    pool,
+                    batch_size: black_box(batch_size),
+                    budget: None,
+                };
                 let window = config
-                    .generate_stream(black_box(batch_size), &pool, &mut sink)
+                    .generate_stream(&run, &mut sink)
                     .expect("stream generation");
                 assert!(window.high_watermark <= batch_size);
                 window.clusters
@@ -69,8 +74,13 @@ fn bench_streaming_resimulate(c: &mut Criterion) {
             b.iter(|| {
                 let mut source = DatasetReader::new(black_box(&text[..]));
                 let mut sink = NullSink::default();
+                let run = Run {
+                    pool,
+                    batch_size,
+                    budget: None,
+                };
                 let window = simulator
-                    .resimulate_stream(&mut source, &seq, batch_size, &pool, &mut sink)
+                    .resimulate_stream(&mut source, &seq, &run, &mut sink)
                     .expect("stream resimulation");
                 assert!(window.high_watermark <= batch_size);
                 window.clusters

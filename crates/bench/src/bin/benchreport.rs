@@ -20,13 +20,13 @@
 //!   reports without the array fall back to `kernel`/`clustering`/
 //!   `pipeline`).
 //!
-//! No external JSON crate exists in this hermetic workspace, so a minimal
-//! recursive-descent parser lives here; the schema it must accept is only
-//! what the harness and `assemble` themselves produce.
+//! JSON goes through the workspace's one parser and writer,
+//! [`dnasim_core::json`].
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
+
+use dnasim_core::json::{escape, parse as parse_json, Json};
 
 const BASELINE_ID: &str = "levenshtein/full/110";
 const CONTENDER_ID: &str = "myers/distance/110";
@@ -62,16 +62,19 @@ struct Record {
 
 impl Record {
     fn from_value(value: &Json) -> Result<Record, String> {
-        let obj = value.as_object().ok_or("record is not an object")?;
+        if !matches!(value, Json::Object(_)) {
+            return Err("record is not an object".into());
+        }
         let num = |key: &str| -> Result<f64, String> {
-            obj.get(key)
-                .and_then(Json::as_number)
+            value
+                .get(key)
+                .and_then(Json::as_f64)
                 .ok_or_else(|| format!("record missing numeric field {key:?}"))
         };
         Ok(Record {
-            id: obj
+            id: value
                 .get("id")
-                .and_then(Json::as_string)
+                .and_then(Json::as_str)
                 .ok_or("record missing string field \"id\"")?
                 .to_owned(),
             median_ns: num("median_ns")?,
@@ -208,18 +211,17 @@ fn check(args: &[String]) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let value = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let obj = value.as_object().ok_or("report root is not an object")?;
-    let groups = obj
-        .get("groups")
-        .and_then(Json::as_object)
-        .ok_or("report has no \"groups\" object")?;
+    let groups = match value.get("groups") {
+        Some(Json::Object(groups)) => groups,
+        _ => return Err("report has no \"groups\" object".into()),
+    };
     // Reports written since the `required` array exist name their own
     // contract; legacy reports fall back to the original trio.
-    let required: Vec<String> = match obj.get("required").and_then(Json::as_array) {
+    let required: Vec<String> = match value.get("required").and_then(Json::as_array) {
         Some(names) => names
             .iter()
             .map(|n| {
-                n.as_string()
+                n.as_str()
                     .map(str::to_owned)
                     .ok_or("\"required\" entries must be strings".to_owned())
             })
@@ -231,8 +233,9 @@ fn check(args: &[String]) -> Result<(), String> {
     }
     for name in &required {
         let records = groups
-            .get(name)
-            .and_then(Json::as_array)
+            .iter()
+            .find(|(key, _)| key == name)
+            .and_then(|(_, records)| records.as_array())
             .ok_or_else(|| format!("report missing group {name:?}"))?;
         if records.is_empty() {
             return Err(format!("group {name:?} is empty"));
@@ -244,7 +247,7 @@ fn check(args: &[String]) -> Result<(), String> {
     println!(
         "benchreport: {path} ok ({} groups, mode {})",
         groups.len(),
-        obj.get("mode").and_then(Json::as_string).unwrap_or("?"),
+        value.get("mode").and_then(Json::as_str).unwrap_or("?"),
     );
     Ok(())
 }
@@ -265,225 +268,6 @@ fn read_jsonl(path: &str) -> Result<Vec<Record>, String> {
     Ok(records)
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser (objects, arrays, strings, numbers, booleans, null).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Object(map) => Some(map),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_string(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_number(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let value = parse_value(&bytes, &mut pos)?;
-    skip_ws(&bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing characters at offset {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(chars: &[char], pos: &mut usize) {
-    while chars.get(*pos).is_some_and(|c| c.is_whitespace()) {
-        *pos += 1;
-    }
-}
-
-fn parse_value(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(chars, pos);
-    match chars.get(*pos) {
-        Some('{') => parse_object(chars, pos),
-        Some('[') => parse_array(chars, pos),
-        Some('"') => Ok(Json::String(parse_string(chars, pos)?)),
-        Some('t') => parse_literal(chars, pos, "true", Json::Bool(true)),
-        Some('f') => parse_literal(chars, pos, "false", Json::Bool(false)),
-        Some('n') => parse_literal(chars, pos, "null", Json::Null),
-        Some(c) if *c == '-' || c.is_ascii_digit() => parse_number(chars, pos),
-        Some(c) => Err(format!("unexpected character {c:?} at offset {pos}", pos = *pos)),
-        None => Err("unexpected end of input".to_owned()),
-    }
-}
-
-fn parse_literal(
-    chars: &[char],
-    pos: &mut usize,
-    word: &str,
-    value: Json,
-) -> Result<Json, String> {
-    for expected in word.chars() {
-        if chars.get(*pos) != Some(&expected) {
-            return Err(format!("bad literal at offset {pos}", pos = *pos));
-        }
-        *pos += 1;
-    }
-    Ok(value)
-}
-
-fn parse_number(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while chars
-        .get(*pos)
-        .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-    {
-        *pos += 1;
-    }
-    let raw: String = chars[start..*pos].iter().collect();
-    raw.parse::<f64>()
-        .map(Json::Number)
-        .map_err(|_| format!("bad number {raw:?} at offset {start}"))
-}
-
-fn parse_string(chars: &[char], pos: &mut usize) -> Result<String, String> {
-    if chars.get(*pos) != Some(&'"') {
-        return Err(format!("expected string at offset {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match chars.get(*pos) {
-            Some('"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some('\\') => {
-                *pos += 1;
-                match chars.get(*pos) {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('u') => {
-                        let hex: String = chars
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?
-                            .iter()
-                            .collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                }
-                *pos += 1;
-            }
-            Some(c) => {
-                out.push(*c);
-                *pos += 1;
-            }
-            None => return Err("unterminated string".to_owned()),
-        }
-    }
-}
-
-fn parse_array(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(chars, pos);
-    if chars.get(*pos) == Some(&']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(chars, pos)?);
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(',') => *pos += 1,
-            Some(']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            other => return Err(format!("expected , or ] in array, got {other:?}")),
-        }
-    }
-}
-
-fn parse_object(chars: &[char], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // consume '{'
-    let mut map = BTreeMap::new();
-    skip_ws(chars, pos);
-    if chars.get(*pos) == Some(&'}') {
-        *pos += 1;
-        return Ok(Json::Object(map));
-    }
-    loop {
-        skip_ws(chars, pos);
-        let key = parse_string(chars, pos)?;
-        skip_ws(chars, pos);
-        if chars.get(*pos) != Some(&':') {
-            return Err(format!("expected : after object key {key:?}"));
-        }
-        *pos += 1;
-        let value = parse_value(chars, pos)?;
-        map.insert(key, value);
-        skip_ws(chars, pos);
-        match chars.get(*pos) {
-            Some(',') => *pos += 1,
-            Some('}') => {
-                *pos += 1;
-                return Ok(Json::Object(map));
-            }
-            other => return Err(format!("expected , or }} in object, got {other:?}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,25 +280,6 @@ mod tests {
         assert_eq!(record.id, "myers/distance/110");
         assert_eq!(record.median_ns, 42.5);
         assert_eq!(record.samples, 60.0);
-    }
-
-    #[test]
-    fn parser_round_trips_nested_structures() {
-        let value =
-            parse_json("{\"a\": [1, 2.5, \"x\\n\"], \"b\": {\"c\": true, \"d\": null}}").unwrap();
-        let a = value.as_object().unwrap().get("a").unwrap();
-        assert_eq!(a.as_array().unwrap().len(), 3);
-        assert_eq!(
-            a.as_array().unwrap()[2].as_string(),
-            Some("x\n")
-        );
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("{\"a\":").is_err());
-        assert!(parse_json("[1, 2,]").is_err());
-        assert!(parse_json("{} trailing").is_err());
     }
 
     #[test]

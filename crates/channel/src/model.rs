@@ -2,10 +2,10 @@
 
 use dnasim_core::rng::{SeedSequence, SimRng};
 use dnasim_core::{
-    pump_budgeted, Batch, Budget, Cluster, ClusterSink, ClusterSource, Dataset, DnasimError,
-    Strand, WindowStats,
+    pump, pump_indices, Batch, Cluster, ClusterSink, ClusterSource, Dataset, DnasimError, Strand,
+    WindowStats,
 };
-use dnasim_par::ThreadPool;
+use dnasim_par::{Run, ThreadPool};
 
 use crate::coverage::CoverageModel;
 
@@ -126,36 +126,6 @@ impl<M: ErrorModel> Simulator<M> {
         Cluster::new(reference.clone(), reads)
     }
 
-    /// Parallel counterpart of [`Simulator::simulate`] with per-cluster
-    /// forked RNG streams.
-    ///
-    /// Where [`Simulator::simulate`] threads one RNG serially through every
-    /// cluster, this method gives cluster `i` its own stream via
-    /// [`SeedSequence::fork`], so the resulting dataset is byte-identical
-    /// for every thread count (including a serial pool). The two methods
-    /// therefore produce *different* (but equally valid) datasets for the
-    /// same seed; pick one discipline per experiment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DnasimError::Degraded`] if a worker panicked; completed
-    /// clusters are discarded rather than returned partially.
-    pub fn simulate_on(
-        &self,
-        references: &[Strand],
-        seq: &SeedSequence,
-        pool: &ThreadPool,
-    ) -> Result<Dataset, DnasimError>
-    where
-        M: Sync,
-    {
-        let clusters = pool.par_map_seeded(seq, references, |index, reference, rng| {
-            let coverage = self.coverage.sample(index, rng);
-            self.simulate_cluster(reference, coverage, rng)
-        })?;
-        Ok(Dataset::from_clusters(clusters))
-    }
-
     /// Resimulates a real dataset with *custom coverage*: the same
     /// reference strands, with each simulated cluster given exactly the
     /// coverage its real counterpart had (the Table 2.1 protocol).
@@ -165,9 +135,52 @@ impl<M: ErrorModel> Simulator<M> {
             .collect()
     }
 
-    /// Parallel counterpart of [`Simulator::resimulate_matching`]: cluster
-    /// `i` is resimulated on the stream [`SeedSequence::fork`]`(i)`, so the
-    /// output does not depend on the pool's thread count.
+    /// Simulates the references in bounded windows of `run.batch_size`
+    /// clusters on `run.pool`, pushing each finished window into `sink`.
+    ///
+    /// Where [`Simulator::simulate`] threads one RNG serially through every
+    /// cluster, this method gives cluster `i` its own stream,
+    /// [`SeedSequence::fork`]`(i)` of its *global* index, so the output is
+    /// byte-identical for every batch size and thread count. The two
+    /// methods therefore produce *different* (but equally valid) datasets
+    /// for the same seed; pick one discipline per experiment. With
+    /// `run.budget`, each cluster costs one work unit and exhaustion cuts
+    /// the stream at the same global cluster whatever the window shape.
+    ///
+    /// # Errors
+    ///
+    /// [`DnasimError::Config`] for `batch_size == 0`,
+    /// [`DnasimError::DeadlineExceeded`] on budget exhaustion or
+    /// cancellation (after emitting the admitted prefix),
+    /// [`DnasimError::Degraded`] if a worker panicked, or whatever the
+    /// sink reports.
+    pub fn simulate_stream<K>(
+        &self,
+        references: &[Strand],
+        seq: &SeedSequence,
+        run: &Run,
+        sink: &mut K,
+    ) -> Result<WindowStats, DnasimError>
+    where
+        M: Sync,
+        K: ClusterSink + ?Sized,
+    {
+        pump_indices(references.len(), sink, run.batch_size, run.budget, "simulate", |range| {
+            let start = range.start;
+            Ok(run.pool.par_map_indexed(&references[range], |i, reference| {
+                let index = start + i;
+                let mut rng = seq.fork_rng(index as u64);
+                let coverage = self.coverage.sample(index, &mut rng);
+                self.simulate_cluster(reference, coverage, &mut rng)
+            })?)
+        })
+    }
+
+    /// [`Simulator::resimulate_matching`] on the per-cluster fork
+    /// discipline: cluster `i` is resimulated on the stream
+    /// [`SeedSequence::fork`]`(i)`, so the output does not depend on the
+    /// pool's thread count, and matches [`Simulator::resimulate_stream`]
+    /// byte for byte.
     ///
     /// # Errors
     ///
@@ -181,99 +194,13 @@ impl<M: ErrorModel> Simulator<M> {
     where
         M: Sync,
     {
-        let clusters = pool.par_map_seeded(seq, real.clusters(), |_, cluster, rng| {
-            self.simulate_cluster(cluster.reference(), cluster.coverage(), rng)
-        })?;
-        Ok(Dataset::from_clusters(clusters))
+        Ok(Dataset::from_clusters(self.resimulate_window(0, real.clusters(), seq, pool)?))
     }
 
-    /// Streaming counterpart of [`Simulator::simulate_on`]: simulates the
-    /// references in bounded batches of at most `batch_size` clusters,
-    /// pushing each finished batch into `sink`.
-    ///
-    /// Cluster `i` is simulated on the stream [`SeedSequence::fork`]`(i)`
-    /// of its *global* index — never its within-batch position — so the
-    /// output is byte-identical to [`Simulator::simulate_on`] for every
-    /// batch size and thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`DnasimError::Config`] for `batch_size == 0`,
-    /// [`DnasimError::Degraded`] if a worker panicked, or whatever the
-    /// sink reports.
-    pub fn simulate_stream<K>(
-        &self,
-        references: &[Strand],
-        seq: &SeedSequence,
-        batch_size: usize,
-        pool: &ThreadPool,
-        sink: &mut K,
-    ) -> Result<WindowStats, DnasimError>
-    where
-        M: Sync,
-        K: ClusterSink + ?Sized,
-    {
-        self.simulate_stream_budgeted(references, seq, batch_size, pool, &Budget::unlimited(), sink)
-    }
-
-    /// [`Simulator::simulate_stream`] metered by a [`Budget`]: one work
-    /// unit per cluster, admitted in the serial batch loop so exhaustion
-    /// lands on the same global cluster index at any batch size or thread
-    /// count. The admitted prefix is still emitted before the typed error.
-    ///
-    /// # Errors
-    ///
-    /// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation,
-    /// plus everything [`Simulator::simulate_stream`] can report.
-    pub fn simulate_stream_budgeted<K>(
-        &self,
-        references: &[Strand],
-        seq: &SeedSequence,
-        batch_size: usize,
-        pool: &ThreadPool,
-        budget: &Budget,
-        sink: &mut K,
-    ) -> Result<WindowStats, DnasimError>
-    where
-        M: Sync,
-        K: ClusterSink + ?Sized,
-    {
-        if batch_size == 0 {
-            return Err(DnasimError::config(
-                "batch_size",
-                "streaming batch size must be at least 1",
-            ));
-        }
-        let mut stats = WindowStats::default();
-        let mut start = 0usize;
-        while start < references.len() {
-            budget.check("simulate")?;
-            let len = batch_size.min(references.len() - start);
-            let chunk = &references[start..start + len];
-            let (clusters, admitted) = pool.par_map_admitted(budget, chunk, |i, reference| {
-                let index = start + i;
-                let mut rng = seq.fork_rng(index as u64);
-                let coverage = self.coverage.sample(index, &mut rng);
-                self.simulate_cluster(reference, coverage, &mut rng)
-            })?;
-            if admitted > 0 {
-                stats.batches += 1;
-                stats.clusters += admitted;
-                stats.high_watermark = stats.high_watermark.max(admitted);
-                sink.accept(Batch::new(start, clusters))?;
-                start += admitted;
-            }
-            if admitted < len {
-                return Err(budget.exceeded("simulate"));
-            }
-        }
-        sink.finish()?;
-        Ok(stats)
-    }
-
-    /// Streaming counterpart of [`Simulator::resimulate_matching_on`]:
-    /// pulls real clusters from `source` in bounded batches, resimulates
-    /// each with its real coverage, and pushes the results into `sink`.
+    /// Pulls real clusters from `source` in windows of `run.batch_size`,
+    /// resimulates each with its real coverage on `run.pool`, and pushes
+    /// the results into `sink` — one work unit per cluster when
+    /// `run.budget` is set.
     ///
     /// Per-cluster RNG streams fork from the cluster's global index, so
     /// the output matches [`Simulator::resimulate_matching_on`] byte for
@@ -282,14 +209,14 @@ impl<M: ErrorModel> Simulator<M> {
     /// # Errors
     ///
     /// [`DnasimError::Config`] for `batch_size == 0`,
-    /// [`DnasimError::Degraded`] if a worker panicked, or whatever the
-    /// source or sink reports.
+    /// [`DnasimError::DeadlineExceeded`] on budget exhaustion or
+    /// cancellation, [`DnasimError::Degraded`] if a worker panicked, or
+    /// whatever the source or sink reports.
     pub fn resimulate_stream<S, K>(
         &self,
         source: &mut S,
         seq: &SeedSequence,
-        batch_size: usize,
-        pool: &ThreadPool,
+        run: &Run,
         sink: &mut K,
     ) -> Result<WindowStats, DnasimError>
     where
@@ -297,39 +224,29 @@ impl<M: ErrorModel> Simulator<M> {
         S: ClusterSource + ?Sized,
         K: ClusterSink + ?Sized,
     {
-        self.resimulate_stream_budgeted(source, seq, batch_size, pool, &Budget::unlimited(), sink)
-    }
-
-    /// [`Simulator::resimulate_stream`] metered by a [`Budget`] through
-    /// [`pump_budgeted`]: one work unit per cluster pulled, with the
-    /// admitted prefix emitted before the typed deadline error.
-    ///
-    /// # Errors
-    ///
-    /// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation,
-    /// plus everything [`Simulator::resimulate_stream`] can report.
-    pub fn resimulate_stream_budgeted<S, K>(
-        &self,
-        source: &mut S,
-        seq: &SeedSequence,
-        batch_size: usize,
-        pool: &ThreadPool,
-        budget: &Budget,
-        sink: &mut K,
-    ) -> Result<WindowStats, DnasimError>
-    where
-        M: Sync,
-        S: ClusterSource + ?Sized,
-        K: ClusterSink + ?Sized,
-    {
-        pump_budgeted(source, sink, batch_size, budget, "resimulate", |batch| {
+        pump(source, sink, run.batch_size, run.budget, "resimulate", |batch| {
             let start = batch.start();
-            let clusters = pool.par_map_indexed(batch.clusters(), |i, cluster| {
-                let mut rng = seq.fork_rng((start + i) as u64);
-                self.simulate_cluster(cluster.reference(), cluster.coverage(), &mut rng)
-            })?;
+            let clusters = self.resimulate_window(start, batch.clusters(), seq, &run.pool)?;
             Ok(Batch::new(start, clusters))
         })
+    }
+
+    /// Resimulates one window of real clusters whose first cluster has
+    /// global index `start`.
+    fn resimulate_window(
+        &self,
+        start: usize,
+        real: &[Cluster],
+        seq: &SeedSequence,
+        pool: &ThreadPool,
+    ) -> Result<Vec<Cluster>, DnasimError>
+    where
+        M: Sync,
+    {
+        Ok(pool.par_map_indexed(real, |i, cluster| {
+            let mut rng = seq.fork_rng((start + i) as u64);
+            self.simulate_cluster(cluster.reference(), cluster.coverage(), &mut rng)
+        })?)
     }
 }
 
@@ -381,16 +298,28 @@ mod tests {
         assert_eq!(resim.references(), real.references());
     }
 
+    /// `simulate_stream` into an in-memory dataset.
+    fn simulated(
+        sim: &Simulator<IdentityModel>,
+        refs: &[Strand],
+        seq: &SeedSequence,
+        run: &Run,
+    ) -> Dataset {
+        let mut out = Dataset::new();
+        sim.simulate_stream(refs, seq, run, &mut out).unwrap();
+        out
+    }
+
     #[test]
-    fn simulate_on_is_thread_count_invariant() {
+    fn simulate_stream_is_thread_count_invariant() {
         let mut rng = seeded(6);
         let refs: Vec<Strand> = (0..10).map(|_| Strand::random(20, &mut rng)).collect();
         let sim = Simulator::new(IdentityModel, CoverageModel::negative_binomial(6.0, 2.0));
         let seq = SeedSequence::new(99);
-        let serial = sim.simulate_on(&refs, &seq, &ThreadPool::serial()).unwrap();
+        let serial = simulated(&sim, &refs, &seq, &Run::serial());
         for threads in [2, 4, 8] {
-            let par = sim.simulate_on(&refs, &seq, &ThreadPool::new(threads)).unwrap();
-            assert_eq!(serial, par);
+            let run = Run { pool: ThreadPool::new(threads), ..Run::serial() };
+            assert_eq!(serial, simulated(&sim, &refs, &seq, &run));
         }
         let resim = sim
             .resimulate_matching_on(&serial, &seq, &ThreadPool::new(3))
@@ -399,18 +328,17 @@ mod tests {
     }
 
     #[test]
-    fn simulate_stream_matches_simulate_on_at_any_batch_size() {
+    fn simulate_stream_is_batch_size_invariant() {
         let mut rng = seeded(7);
         let refs: Vec<Strand> = (0..11).map(|_| Strand::random(20, &mut rng)).collect();
         let sim = Simulator::new(IdentityModel, CoverageModel::negative_binomial(5.0, 2.0));
         let seq = SeedSequence::new(42);
         let pool = ThreadPool::new(3);
-        let whole = sim.simulate_on(&refs, &seq, &pool).unwrap();
+        let whole = simulated(&sim, &refs, &seq, &Run { pool, ..Run::serial() });
         for batch_size in [1, 3, 7, usize::MAX] {
             let mut streamed = Dataset::new();
-            let stats = sim
-                .simulate_stream(&refs, &seq, batch_size, &pool, &mut streamed)
-                .unwrap();
+            let run = Run { pool, batch_size, budget: None };
+            let stats = sim.simulate_stream(&refs, &seq, &run, &mut streamed).unwrap();
             assert_eq!(streamed, whole, "batch_size={batch_size}");
             assert_eq!(stats.clusters, refs.len());
             assert!(stats.high_watermark <= batch_size);
@@ -429,7 +357,8 @@ mod tests {
         let whole = sim.resimulate_matching_on(&real, &seq, &pool).unwrap();
         for batch_size in [1, 2, 5, usize::MAX] {
             let mut streamed = Dataset::new();
-            sim.resimulate_stream(&mut real.stream(), &seq, batch_size, &pool, &mut streamed)
+            let run = Run { pool, batch_size, budget: None };
+            sim.resimulate_stream(&mut real.stream(), &seq, &run, &mut streamed)
                 .unwrap();
             assert_eq!(streamed, whole, "batch_size={batch_size}");
         }
@@ -440,9 +369,8 @@ mod tests {
         let sim = Simulator::new(IdentityModel, CoverageModel::Fixed(1));
         let seq = SeedSequence::new(1);
         let mut out = Dataset::new();
-        assert!(sim
-            .simulate_stream(&[], &seq, 0, &ThreadPool::serial(), &mut out)
-            .is_err());
+        let run = Run { batch_size: 0, ..Run::serial() };
+        assert!(sim.simulate_stream(&[], &seq, &run, &mut out).is_err());
     }
 
     #[test]

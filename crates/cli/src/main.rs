@@ -41,16 +41,15 @@ use dnasim_channel::{
     CoverageModel, DnaSimulatorModel, ErrorModel, KeoliyaModel, Simulator, SimulatorLayer,
 };
 use dnasim_core::rng::{seeded, SeedSequence, SimRng};
-use dnasim_core::{Dataset, PrefetchSource};
+use dnasim_core::{ClusterSource, Dataset, PrefetchSource};
 use dnasim_dataset::{
-    read_dataset_auto, write_dataset_format, AnyDatasetReader, AnyDatasetWriter, Format,
-    NanoporeTwinConfig,
+    read_dataset_auto, AnyDatasetReader, AnyDatasetWriter, Format, NanoporeTwinConfig,
 };
 use dnasim_faults::ChaosSuite;
-use dnasim_par::ThreadPool;
+use dnasim_par::{Run, ThreadPool};
 use dnasim_pipeline::{
-    archive_round_trip_on, archive_round_trip_stream, evaluate_reconstruction,
-    fixed_coverage_protocol, ArchiveConfig, ArchiveMode, Experiments,
+    archive_round_trip_stream, evaluate_reconstruction, fixed_coverage_protocol, ArchiveConfig,
+    ArchiveMode, Experiments,
 };
 use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};
 use dnasim_reconstruct::{
@@ -267,6 +266,30 @@ fn batch_size(args: &Args) -> Result<usize, ArgsError> {
     args.get_or("batch-size", 256usize)
 }
 
+/// The window of a command with a `--stream` mode: `--batch-size`
+/// clusters with `--stream`, else one window holding the whole input.
+fn stream_window(args: &Args) -> Result<usize, ArgsError> {
+    if args.flag("stream") {
+        batch_size(args)
+    } else {
+        Ok(usize::MAX)
+    }
+}
+
+/// `source`, decoded one window ahead on a dedicated I/O worker with
+/// `--prefetch`.
+fn open_source<S: ClusterSource + Send + 'static>(
+    args: &Args,
+    source: S,
+    batch_size: usize,
+) -> Result<Box<dyn ClusterSource>, Box<dyn std::error::Error>> {
+    Ok(if args.flag("prefetch") {
+        Box::new(PrefetchSource::spawn(source, batch_size)?)
+    } else {
+        Box::new(source)
+    })
+}
+
 fn parse_algorithm(name: &str) -> Result<Box<dyn TraceReconstructor>, ArgsError> {
     match name {
         "bma" => Ok(Box::new(BmaLookahead::default())),
@@ -306,31 +329,26 @@ fn cmd_generate(args: &Args) -> CliResult {
     config.cluster_count = args.get_or("clusters", config.cluster_count)?;
     config.strand_len = args.get_or("len", config.strand_len)?;
     config.seed = args.get_or("seed", config.seed)?;
-    let format = parse_format(args)?;
-    let (clusters, reads, erasures) = if args.flag("stream") {
-        let pool = thread_pool(args)?;
-        let mut writer = AnyDatasetWriter::new(BufWriter::new(File::create(out)?), format);
-        let window = config.generate_stream(batch_size(args)?, &pool, &mut writer)?;
-        let counts = (
-            writer.clusters_written(),
-            writer.reads_written(),
-            writer.erasures_written(),
-        );
-        writer.into_inner()?;
+    let run = Run {
+        pool: thread_pool(args)?,
+        batch_size: stream_window(args)?,
+        budget: None,
+    };
+    let mut writer =
+        AnyDatasetWriter::new(BufWriter::new(File::create(out)?), parse_format(args)?);
+    let window = config.generate_stream(&run, &mut writer)?;
+    let (clusters, reads, erasures) = (
+        writer.clusters_written(),
+        writer.reads_written(),
+        writer.erasures_written(),
+    );
+    writer.into_inner()?;
+    if args.flag("stream") {
         println!(
             "streamed {} batches, window high-watermark {} clusters",
             window.batches, window.high_watermark
         );
-        counts
-    } else {
-        let dataset = config.generate();
-        write_dataset_format(&dataset, BufWriter::new(File::create(out)?), format)?;
-        (
-            dataset.len(),
-            dataset.total_reads(),
-            dataset.erasure_count(),
-        )
-    };
+    }
     let mean = if clusters == 0 {
         0.0
     } else {
@@ -347,27 +365,24 @@ fn cmd_profile(args: &Args) -> CliResult {
     let data = args.require("data")?;
     let top_k = args.get_or("top-k", 10usize)?;
     let mut rng = seeded(args.get_or("seed", 0u64)?);
-    // `from_source` draws from the rng in the same cluster order as
-    // `from_dataset`, so both paths print identical statistics.
-    let stats = if args.flag("stream") {
-        let batch = batch_size(args)?;
-        let (stats, window) = if args.flag("prefetch") {
-            let mut source = PrefetchSource::spawn(open_cluster_source(args, data)?, batch)?;
-            ErrorStats::from_source(&mut source, batch, TieBreak::Random, &mut rng)?
-        } else {
-            let mut source = open_cluster_source(args, data)?;
-            ErrorStats::from_source(&mut source, batch, TieBreak::Random, &mut rng)?
-        };
+    // One window (or `--batch-size` windows with `--stream`): the rng is
+    // drawn in global cluster order either way, so the statistics are
+    // identical.
+    let batch = stream_window(args)?;
+    let (stats, window) = ErrorStats::from_source(
+        &mut *open_source(args, open_cluster_source(args, data)?, batch)?,
+        batch,
+        TieBreak::Random,
+        &mut rng,
+    )?;
+    if args.flag("stream") {
         // Stderr, so the statistics on stdout stay byte-identical to the
-        // in-memory path.
+        // one-window path.
         eprintln!(
             "stream window: {} batch(es), peak {} cluster(s) / {} read(s) resident",
             window.batches, window.high_watermark, window.peak_resident_reads
         );
-        stats
-    } else {
-        ErrorStats::from_dataset(&load(data)?, TieBreak::Random, &mut rng)
-    };
+    }
     println!(
         "reads: {}   aggregate error rate: {:.4}",
         stats.read_count(),
@@ -413,80 +428,23 @@ fn cmd_profile(args: &Args) -> CliResult {
     Ok(CliOutcome::Ok)
 }
 
+/// Learns (or loads) the model with one pass over the input file, then
+/// resimulates it window by window straight into the output file. Without
+/// `--stream` the window is the whole file; with it, `--batch-size`
+/// clusters. Every cluster's error stream is forked from the root seed by
+/// its global index, so the output bytes are identical for every window
+/// size and `--threads` value.
 fn cmd_simulate(args: &Args) -> CliResult {
-    if args.flag("stream") {
-        return cmd_simulate_stream(args);
-    }
-    let dataset = load(args.require("data")?)?;
-    let out = args.require("out")?;
-    let model_spec = args.require("model")?;
-    let seed = args.get_or("seed", 1u64)?;
-    let mut rng = seeded(seed);
-    let pool = thread_pool(args)?;
-    // Per-cluster streams are forked from the root seed, so the simulated
-    // bytes are identical for every --threads value.
-    let seq = SeedSequence::new(seed);
-
-    let simulated = if let Some(layer_name) = model_spec.strip_prefix("keoliya") {
-        let layer = match layer_name.strip_prefix(':') {
-            Some(l) => parse_layer(l)?,
-            None => SimulatorLayer::SecondOrder,
-        };
-        // Reuse a previously saved model, or learn one from the dataset.
-        let learned = match args.get("model-file") {
-            Some(path) => LearnedModel::from_text(&std::fs::read_to_string(path)?)?,
-            None => {
-                let stats = ErrorStats::from_dataset(&dataset, TieBreak::Random, &mut rng);
-                LearnedModel::from_stats(&stats, 10)
-            }
-        };
-        let model = KeoliyaModel::new(learned, layer);
-        Simulator::new(model, CoverageModel::Fixed(0))
-            .resimulate_matching_on(&dataset, &seq, &pool)?
-    } else {
-        match model_spec {
-            "naive" => {
-                let stats = ErrorStats::from_dataset(&dataset, TieBreak::Random, &mut rng);
-                let learned = LearnedModel::from_stats(&stats, 10);
-                let model = KeoliyaModel::new(learned, SimulatorLayer::Naive);
-                Simulator::new(model, CoverageModel::Fixed(0))
-                    .resimulate_matching_on(&dataset, &seq, &pool)?
-            }
-            "dnasimulator" => Simulator::new(
-                DnaSimulatorModel::nanopore_default(),
-                CoverageModel::Fixed(0),
-            )
-            .resimulate_matching_on(&dataset, &seq, &pool)?,
-            other => return Err(format!("unknown model '{other}'").into()),
-        }
-    };
-    write_dataset_format(
-        &simulated,
-        BufWriter::new(File::create(out)?),
-        parse_format(args)?,
-    )?;
-    println!(
-        "simulated {} clusters ({} reads) with model '{model_spec}' to {out}",
-        simulated.len(),
-        simulated.total_reads()
-    );
-    Ok(CliOutcome::Ok)
-}
-
-/// The `--stream` path of `simulate`: learns the model with one bounded
-/// pass over the input file, then resimulates it cluster-batch by
-/// cluster-batch straight into the output file. Byte-identical to the
-/// in-memory path — `ErrorStats::from_source` draws from the rng in the
-/// same cluster order as `from_dataset`, and every cluster's error stream
-/// is forked from the root seed by its global index.
-fn cmd_simulate_stream(args: &Args) -> CliResult {
     let data = args.require("data")?;
     let out = args.require("out")?;
     let model_spec = args.require("model")?;
     let seed = args.get_or("seed", 1u64)?;
     let mut rng = seeded(seed);
-    let pool = thread_pool(args)?;
-    let batch = batch_size(args)?;
+    let run = Run {
+        pool: thread_pool(args)?,
+        batch_size: stream_window(args)?,
+        budget: None,
+    };
     let seq = SeedSequence::new(seed);
 
     let learn = |rng: &mut SimRng| -> Result<LearnedModel, Box<dyn std::error::Error>> {
@@ -495,7 +453,7 @@ fn cmd_simulate_stream(args: &Args) -> CliResult {
             None => {
                 let mut source = open_detected(data)?;
                 let (stats, _) =
-                    ErrorStats::from_source(&mut source, batch, TieBreak::Random, rng)?;
+                    ErrorStats::from_source(&mut source, run.batch_size, TieBreak::Random, rng)?;
                 Ok(LearnedModel::from_stats(&stats, 10))
             }
         }
@@ -508,20 +466,20 @@ fn cmd_simulate_stream(args: &Args) -> CliResult {
         };
         let model = KeoliyaModel::new(learn(&mut rng)?, layer);
         let simulator = Simulator::new(model, CoverageModel::Fixed(0));
-        resimulate_streamed(&simulator, args, data, out, &seq, batch, &pool)?
+        resimulate_file(&simulator, args, data, out, &seq, &run)?
     } else {
         match model_spec {
             "naive" => {
                 let model = KeoliyaModel::new(learn(&mut rng)?, SimulatorLayer::Naive);
                 let simulator = Simulator::new(model, CoverageModel::Fixed(0));
-                resimulate_streamed(&simulator, args, data, out, &seq, batch, &pool)?
+                resimulate_file(&simulator, args, data, out, &seq, &run)?
             }
             "dnasimulator" => {
                 let simulator = Simulator::new(
                     DnaSimulatorModel::nanopore_default(),
                     CoverageModel::Fixed(0),
                 );
-                resimulate_streamed(&simulator, args, data, out, &seq, batch, &pool)?
+                resimulate_file(&simulator, args, data, out, &seq, &run)?
             }
             other => return Err(format!("unknown model '{other}'").into()),
         }
@@ -530,35 +488,31 @@ fn cmd_simulate_stream(args: &Args) -> CliResult {
     Ok(CliOutcome::Ok)
 }
 
-/// Pipes `data` through `simulator.resimulate_stream` into `out`, printing
-/// the window statistics; returns (clusters, reads) written. Honors
-/// `--format` on the output, auto-detects the input, and with
-/// `--prefetch` decodes batch k+1 on a dedicated worker while batch k is
-/// in the pool — the output bytes are identical either way.
-fn resimulate_streamed<M: ErrorModel + Sync>(
+/// Pipes `data` through `simulator.resimulate_stream` into `out`; returns
+/// (clusters, reads) written. Honors `--format` on the output,
+/// auto-detects the input, and with `--prefetch` decodes window k+1 on a
+/// dedicated worker while window k is in the pool — the output bytes are
+/// identical either way.
+fn resimulate_file<M: ErrorModel + Sync>(
     simulator: &Simulator<M>,
     args: &Args,
     data: &str,
     out: &str,
     seq: &SeedSequence,
-    batch: usize,
-    pool: &ThreadPool,
+    run: &Run,
 ) -> Result<(usize, usize), Box<dyn std::error::Error>> {
     let mut writer =
         AnyDatasetWriter::new(BufWriter::new(File::create(out)?), parse_format(args)?);
-    let window = if args.flag("prefetch") {
-        let mut source = PrefetchSource::spawn(open_detected(data)?, batch)?;
-        simulator.resimulate_stream(&mut source, seq, batch, pool, &mut writer)?
-    } else {
-        let mut source = open_detected(data)?;
-        simulator.resimulate_stream(&mut source, seq, batch, pool, &mut writer)?
-    };
+    let mut source = open_source(args, open_detected(data)?, run.batch_size)?;
+    let window = simulator.resimulate_stream(&mut *source, seq, run, &mut writer)?;
     let counts = (writer.clusters_written(), writer.reads_written());
     writer.into_inner()?;
-    println!(
-        "streamed {} batches, window high-watermark {} clusters",
-        window.batches, window.high_watermark
-    );
+    if args.flag("stream") {
+        println!(
+            "streamed {} batches, window high-watermark {} clusters",
+            window.batches, window.high_watermark
+        );
+    }
     Ok(counts)
 }
 
@@ -735,23 +689,23 @@ fn cmd_archive(args: &Args) -> CliResult {
         mode,
         ..defaults
     };
-    let report = match args.get("batch-size") {
-        Some(_) => {
-            let (report, window) = archive_round_trip_stream(
-                &data,
-                &config,
-                &mut rng,
-                &thread_pool(args)?,
-                batch_size(args)?,
-            )?;
-            println!(
-                "decoded {} windows, high-watermark {} clusters, peak {} reads resident",
-                window.batches, window.high_watermark, window.peak_resident_reads
-            );
-            report
-        }
-        None => archive_round_trip_on(&data, &config, &mut rng, &thread_pool(args)?)?,
+    // The decode window is `--batch-size` clusters when given, else the
+    // whole pool; the report is identical either way.
+    let run = Run {
+        pool: thread_pool(args)?,
+        batch_size: match args.get("batch-size") {
+            Some(_) => batch_size(args)?,
+            None => usize::MAX,
+        },
+        budget: None,
     };
+    let (report, window) = archive_round_trip_stream(&data, &config, &mut rng, &run)?;
+    if args.get("batch-size").is_some() {
+        println!(
+            "decoded {} windows, high-watermark {} clusters, peak {} reads resident",
+            window.batches, window.high_watermark, window.peak_resident_reads
+        );
+    }
     let ok = report.data[..data.len()] == data[..];
     if config.imperfect_clustering {
         // Imperfect clustering ran the greedy pass: surface how much

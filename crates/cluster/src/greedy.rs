@@ -271,13 +271,6 @@ impl GreedyClusterer {
     }
 }
 
-/// Perfect (pseudo-)clustering: treats the simulator's ordered output as
-/// already clustered. This is the identity on a [`Dataset`] and exists to
-/// make the clustering choice explicit at call sites.
-pub fn perfect_clustering(dataset: Dataset) -> Dataset {
-    dataset
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,14 +367,6 @@ mod tests {
         let references = vec![Strand::random(50, &mut rng)];
         let dataset = GreedyClusterer::default().cluster_against_references(&[], &references);
         assert_eq!(dataset.erasure_count(), 1);
-    }
-
-    #[test]
-    fn perfect_clustering_is_identity() {
-        let mut rng = seeded(6);
-        let r = Strand::random(20, &mut rng);
-        let ds = Dataset::from_clusters(vec![Cluster::new(r.clone(), vec![r])]);
-        assert_eq!(perfect_clustering(ds.clone()), ds);
     }
 
     #[test]

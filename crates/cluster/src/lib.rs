@@ -7,8 +7,6 @@
 //! reconstruction behaviour from clustering artifacts — or run a real
 //! clusterer over the shuffled pool.
 //!
-//! * [`perfect_clustering`] — the explicit identity used by the paper's
-//!   evaluation protocol;
 //! * [`GreedyClusterer`] — single-pass greedy clustering with a
 //!   [`QGramSignature`] MinHash prefilter, a q-gram error-ball lower
 //!   bound that discharges hopeless candidates before any kernel runs,
@@ -59,7 +57,7 @@ mod signature;
 mod stats;
 mod streaming;
 
-pub use greedy::{perfect_clustering, GreedyClusterer};
+pub use greedy::GreedyClusterer;
 pub use signature::QGramSignature;
 pub use stats::{process_cluster_stats, reset_process_cluster_stats, ClusterStats};
 pub use streaming::{StreamAssignment, StreamingClusterer};

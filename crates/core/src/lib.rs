@@ -20,6 +20,7 @@
 //!   cooperative cancellation (see [`budget`]);
 //! * [`EditOp`] / [`EditScript`] — the IDS error vocabulary;
 //! * [`DnasimError`] — the workspace-wide failure taxonomy;
+//! * [`json`] — the workspace's one JSON parser and ordered writer;
 //! * [`rng`] — deterministic seeding utilities;
 //! * [`tech`] — the sequencing-technology survey (paper Table 1.1).
 //!
@@ -45,6 +46,7 @@ mod cluster;
 mod dataset;
 mod edit;
 mod error;
+pub mod json;
 mod packed;
 pub mod rng;
 pub mod stream;
@@ -61,6 +63,6 @@ pub use error::DnasimError;
 pub use packed::PackedStrand;
 pub use strand::{ParseStrandError, Strand};
 pub use stream::{
-    pump, pump_budgeted, pump_prefetch, resident_reads, Batch, ClusterSink, ClusterSource,
-    DatasetStream, NullSink, OwnedDatasetStream, PrefetchSource, WindowStats,
+    checked_batch_size, fold, pump, pump_indices, resident_reads, Batch, ClusterSink,
+    ClusterSource, DatasetStream, NullSink, OwnedDatasetStream, PrefetchSource, WindowStats,
 };

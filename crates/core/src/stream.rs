@@ -12,9 +12,11 @@
 //!   cluster order it starts;
 //! * [`ClusterSource`] / [`ClusterSink`] — pull/push endpoints a stage
 //!   streams between;
-//! * [`pump`] — the generic bounded-window driver, which also audits the
-//!   window high-watermark so tests can assert a stage never held more
-//!   than `batch_size` clusters in flight;
+//! * [`pump`] / [`fold`] / [`pump_indices`] — the one bounded-window
+//!   batch loop in its emitting, consuming and index-range forms. It alone
+//!   checks the batch size, meters the optional [`Budget`], enforces
+//!   contiguity and records [`WindowStats`] (clusters in flight and the
+//!   reads they hold), so every stage reports the same gauges;
 //! * [`Dataset`] adapters, making the in-memory type one trivial
 //!   source/sink so existing callers keep working unchanged.
 //!
@@ -28,7 +30,7 @@
 //!     ds.push(Cluster::erasure("ACGT".parse()?));
 //! }
 //! let mut out = Dataset::new();
-//! let stats = pump(&mut ds.stream(), &mut out, 3, Ok)?;
+//! let stats = pump(&mut ds.stream(), &mut out, 3, None, "copy", Ok)?;
 //! assert_eq!(out, ds);
 //! assert_eq!(stats.clusters, 10);
 //! assert!(stats.high_watermark <= 3);
@@ -92,26 +94,11 @@ impl Batch {
         self.start..self.start + self.clusters.len()
     }
 
-    /// Iterates `(global_index, cluster)` pairs.
-    pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, &Cluster)> {
-        let start = self.start;
-        self.clusters
-            .iter()
-            .enumerate()
-            .map(move |(i, c)| (start + i, c))
-    }
-
     /// Consumes the batch, returning its start index and clusters.
     pub fn into_parts(self) -> (usize, Vec<Cluster>) {
         (self.start, self.clusters)
     }
 
-    /// Keeps only the first `len` clusters, preserving the start index.
-    /// A no-op when the batch is already at most `len` long. This is how
-    /// a budgeted driver cuts a batch at the admitted prefix.
-    pub fn truncate(&mut self, len: usize) {
-        self.clusters.truncate(len);
-    }
 }
 
 /// A pull endpoint producing clusters in global order, one bounded batch
@@ -205,7 +192,15 @@ pub fn resident_reads(clusters: &[Cluster]) -> usize {
 }
 
 /// Validates a streaming batch size, translating `0` into a typed error.
-pub(crate) fn checked_batch_size(batch_size: usize) -> Result<usize, DnasimError> {
+///
+/// This is the workspace's one batch-size check: the batch loop below
+/// calls it, and so does every [`ClusterSource`] and configuration that accepts
+/// a window size.
+///
+/// # Errors
+///
+/// [`DnasimError::Config`] for `batch_size == 0`.
+pub fn checked_batch_size(batch_size: usize) -> Result<usize, DnasimError> {
     if batch_size == 0 {
         Err(DnasimError::config(
             "batch_size",
@@ -216,54 +211,150 @@ pub(crate) fn checked_batch_size(batch_size: usize) -> Result<usize, DnasimError
     }
 }
 
+/// What the batch loop meters: a [`Batch`] already pulled from a
+/// source, or a range of global indices a stage has yet to produce.
+trait Window {
+    fn first_index(&self) -> usize;
+    fn size(&self) -> usize;
+    fn keep_prefix(&mut self, len: usize);
+}
+
+impl Window for Batch {
+    fn first_index(&self) -> usize {
+        self.start
+    }
+
+    fn size(&self) -> usize {
+        self.clusters.len()
+    }
+
+    fn keep_prefix(&mut self, len: usize) {
+        self.clusters.truncate(len);
+    }
+}
+
+impl Window for Range<usize> {
+    fn first_index(&self) -> usize {
+        self.start
+    }
+
+    fn size(&self) -> usize {
+        self.end - self.start
+    }
+
+    fn keep_prefix(&mut self, len: usize) {
+        self.end = self.end.min(self.start + len);
+    }
+}
+
+/// The batch loop behind [`pump`], [`fold`] and [`pump_indices`]: pulls
+/// windows of at most `batch_size` clusters with `next`, meters each
+/// against `budget`, hands the admitted prefix to `step`, which returns
+/// the reads the window held resident, and records the window into
+/// `stats`.
+///
+/// With a budget, each non-empty window charges one unit per cluster,
+/// each empty window charges one unit (so a stalled source that yields
+/// empty batches forever exhausts the budget instead of spinning), and
+/// cancellation is observed at every window boundary. When the budget
+/// runs dry mid-window the admitted prefix is still stepped, so a stage
+/// emits exactly the first `limit` clusters of its stream — at any batch
+/// size — before the typed error is returned. `None` is unmetered.
+fn drive<W, N, F>(
+    batch_size: usize,
+    budget: Option<&Budget>,
+    stage: &'static str,
+    stats: &mut WindowStats,
+    mut next: N,
+    mut step: F,
+) -> Result<(), DnasimError>
+where
+    W: Window,
+    N: FnMut(usize) -> Result<Option<W>, DnasimError>,
+    F: FnMut(W) -> Result<usize, DnasimError>,
+{
+    let batch_size = checked_batch_size(batch_size)?;
+    let mut seen = 0usize;
+    loop {
+        if let Some(budget) = budget {
+            budget.check(stage)?;
+        }
+        let Some(mut window) = next(batch_size)? else {
+            break;
+        };
+        let full_len = window.size();
+        if full_len == 0 {
+            // Progress guard; real sources never emit empty batches, so
+            // metered runs stay byte-identical.
+            if let Some(budget) = budget {
+                budget.charge(stage, 1)?;
+            }
+            continue;
+        }
+        if window.first_index() != seen {
+            return Err(DnasimError::config(
+                "stream",
+                format!(
+                    "source emitted batch starting at {} but {seen} clusters were seen",
+                    window.first_index()
+                ),
+            ));
+        }
+        let admitted = budget.map_or(full_len, |budget| {
+            usize::try_from(budget.admit(full_len as u64)).unwrap_or(usize::MAX)
+        });
+        window.keep_prefix(admitted);
+        if admitted > 0 {
+            let reads = step(window)?;
+            stats.record_window(admitted, reads);
+            seen += admitted;
+        }
+        if let Some(budget) = budget.filter(|_| admitted < full_len) {
+            return Err(budget.exceeded(stage));
+        }
+    }
+    Ok(())
+}
+
+/// Hands `out` to `sink`, requiring it to cover exactly the `len` global
+/// indices from `start` — a stage that re-shapes the stream is a config
+/// error, not silent corruption.
+fn accept_in_place<K: ClusterSink + ?Sized>(
+    sink: &mut K,
+    start: usize,
+    len: usize,
+    out: Batch,
+) -> Result<(), DnasimError> {
+    if out.start() != start || out.len() != len {
+        return Err(DnasimError::config(
+            "stream",
+            "streaming transform must map batches 1:1 (same start and length)",
+        ));
+    }
+    sink.accept(out)
+}
+
 /// Drives `source` → `transform` → `sink` with a bounded window of at most
-/// `batch_size` clusters, returning the window counters.
+/// `batch_size` clusters, metered by `budget` (`None` is unmetered; see
+/// DESIGN.md §13), returning the window counters. `stage` names the
+/// stage in a deadline error.
 ///
 /// `transform` must map batches 1:1 — same start index, same cluster
-/// count — so global indices stay stable through the stage; a transform
-/// that re-shapes the stream is a config error, not silent corruption.
-/// The sink's [`ClusterSink::finish`] hook runs after the source is
-/// exhausted.
+/// count — so global indices stay stable through the stage. The sink's
+/// [`ClusterSink::finish`] hook runs after the source is exhausted.
 ///
 /// # Errors
 ///
 /// [`DnasimError::Config`] for `batch_size == 0`, a non-contiguous
-/// source, or a transform that changes batch shape; otherwise whatever
+/// source, or a transform that changes batch shape;
+/// [`DnasimError::DeadlineExceeded`] on budget exhaustion or
+/// cancellation (after emitting the admitted prefix); otherwise whatever
 /// the source, transform, or sink reports.
 pub fn pump<S, K, F>(
     source: &mut S,
     sink: &mut K,
     batch_size: usize,
-    transform: F,
-) -> Result<WindowStats, DnasimError>
-where
-    S: ClusterSource + ?Sized,
-    K: ClusterSink + ?Sized,
-    F: FnMut(Batch) -> Result<Batch, DnasimError>,
-{
-    pump_budgeted(source, sink, batch_size, &Budget::unlimited(), "pump", transform)
-}
-
-/// [`pump`] with a deterministic work [`Budget`]: each non-empty batch
-/// charges one unit per cluster, each empty batch charges one unit (so a
-/// stalled source that yields empty batches forever exhausts the budget
-/// instead of spinning), and cancellation is observed at every batch
-/// boundary.
-///
-/// When the budget runs dry mid-batch the *admitted prefix* is still
-/// transformed and emitted, so the sink holds exactly the first `limit`
-/// clusters of the stream — at any batch size — before the typed error is
-/// returned. `stage` names this driver in the error.
-///
-/// # Errors
-///
-/// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation, plus
-/// everything [`pump`] can report.
-pub fn pump_budgeted<S, K, F>(
-    source: &mut S,
-    sink: &mut K,
-    batch_size: usize,
-    budget: &Budget,
+    budget: Option<&Budget>,
     stage: &'static str,
     mut transform: F,
 ) -> Result<WindowStats, DnasimError>
@@ -272,52 +363,106 @@ where
     K: ClusterSink + ?Sized,
     F: FnMut(Batch) -> Result<Batch, DnasimError>,
 {
-    let batch_size = checked_batch_size(batch_size)?;
     let mut stats = WindowStats::default();
-    let mut expected_start = 0usize;
-    loop {
-        budget.check(stage)?;
-        let Some(mut batch) = source.next_batch(batch_size)? else {
-            break;
-        };
-        if batch.is_empty() {
-            // Progress guard: an empty batch costs one unit, so a source
-            // that stalls (empty batches forever) deterministically trips
-            // the deadline instead of looping. Real sources never emit
-            // empty batches, so metered runs stay byte-identical.
-            budget.charge(stage, 1)?;
-            continue;
-        }
-        if batch.start() != expected_start {
-            return Err(DnasimError::config(
-                "stream",
-                format!(
-                    "source emitted batch starting at {} but {} clusters were seen",
-                    batch.start(),
-                    expected_start
-                ),
-            ));
-        }
-        let full_len = batch.len();
-        let admitted = budget.admit(full_len as u64) as usize;
-        batch.truncate(admitted);
-        if admitted > 0 {
+    drive(
+        batch_size,
+        budget,
+        stage,
+        &mut stats,
+        |max| source.next_batch(max),
+        |batch| {
             let (start, len) = (batch.start(), batch.len());
-            stats.record_window(len, resident_reads(batch.clusters()));
-            let out = transform(batch)?;
-            if out.start() != start || out.len() != len {
-                return Err(DnasimError::config(
-                    "stream",
-                    "streaming transform must map batches 1:1 (same start and length)",
-                ));
+            let reads = resident_reads(batch.clusters());
+            accept_in_place(sink, start, len, transform(batch)?)?;
+            Ok(reads)
+        },
+    )?;
+    sink.finish()?;
+    Ok(stats)
+}
+
+/// The consuming form of [`pump`], for stages that fold a stream into a
+/// result (accuracy reports, error statistics, decoded payloads) rather
+/// than emit one: every admitted batch goes to `consume`, in global order,
+/// under the same batch-size check, metering and contiguity rules, and is
+/// recorded into `window`. Like the stage's other accumulators, `window`
+/// holds the admitted prefix's counters even when the budget cuts the
+/// stream — which is what lets a stage that absorbs exhaustion (the
+/// archive quarantines undecoded clusters) still report them.
+///
+/// # Errors
+///
+/// Everything [`pump`] can report, plus whatever `consume` returns.
+pub fn fold<S, F>(
+    source: &mut S,
+    batch_size: usize,
+    budget: Option<&Budget>,
+    stage: &'static str,
+    window: &mut WindowStats,
+    mut consume: F,
+) -> Result<(), DnasimError>
+where
+    S: ClusterSource + ?Sized,
+    F: FnMut(Batch) -> Result<(), DnasimError>,
+{
+    drive(
+        batch_size,
+        budget,
+        stage,
+        window,
+        |max| source.next_batch(max),
+        |batch| {
+            let reads = resident_reads(batch.clusters());
+            consume(batch)?;
+            Ok(reads)
+        },
+    )
+}
+
+/// The index-range form of [`pump`], for stages that produce clusters
+/// `0..len` rather than transform a source (twin generation, simulation):
+/// each window of global indices is metered *before* `produce` builds its
+/// clusters, so an exhausted budget never pays for clusters it refuses.
+/// `produce` must return exactly one cluster per index of its range.
+///
+/// # Errors
+///
+/// Everything [`pump`] can report, plus whatever `produce` returns.
+pub fn pump_indices<K, F>(
+    len: usize,
+    sink: &mut K,
+    batch_size: usize,
+    budget: Option<&Budget>,
+    stage: &'static str,
+    mut produce: F,
+) -> Result<WindowStats, DnasimError>
+where
+    K: ClusterSink + ?Sized,
+    F: FnMut(Range<usize>) -> Result<Vec<Cluster>, DnasimError>,
+{
+    let mut cursor = 0usize;
+    let mut stats = WindowStats::default();
+    drive(
+        batch_size,
+        budget,
+        stage,
+        &mut stats,
+        |max| {
+            if cursor >= len {
+                return Ok(None);
             }
-            sink.accept(out)?;
-            expected_start = start + len;
-        }
-        if admitted < full_len {
-            return Err(budget.exceeded(stage));
-        }
-    }
+            let window = cursor..cursor.saturating_add(max).min(len);
+            cursor = window.end;
+            Ok(Some(window))
+        },
+        |range| {
+            let (start, count) = (range.start, range.end - range.start);
+            let clusters = produce(range)?;
+            let reads = resident_reads(&clusters);
+            accept_in_place(sink, start, count, Batch::new(start, clusters))?;
+            Ok(reads)
+        },
+    )?;
     sink.finish()?;
     Ok(stats)
 }
@@ -353,7 +498,7 @@ where
 /// }
 /// let mut prefetch = PrefetchSource::spawn(ds.clone().into_stream(), 3)?;
 /// let mut out = Dataset::new();
-/// pump(&mut prefetch, &mut out, 3, Ok)?;
+/// pump(&mut prefetch, &mut out, 3, None, "copy", Ok)?;
 /// assert_eq!(out, ds);
 /// assert!(prefetch.stats().high_watermark <= 6);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -503,34 +648,6 @@ impl Drop for PrefetchSource {
     }
 }
 
-/// [`pump`] with the source wrapped in a [`PrefetchSource`]: batch `k+1`
-/// is decoded on a dedicated I/O worker while the transform runs batch
-/// `k`, and the returned `high_watermark` reports the true in-flight peak
-/// — consumer window plus prefetched batch, ≤ 2× `batch_size`.
-///
-/// Output is byte-identical to [`pump`] over the same source; only the
-/// overlap (and therefore wall-clock) differs.
-///
-/// # Errors
-///
-/// Everything [`pump`] and [`PrefetchSource::spawn`] can report.
-pub fn pump_prefetch<S, K, F>(
-    source: S,
-    sink: &mut K,
-    batch_size: usize,
-    transform: F,
-) -> Result<WindowStats, DnasimError>
-where
-    S: ClusterSource + Send + 'static,
-    K: ClusterSink + ?Sized,
-    F: FnMut(Batch) -> Result<Batch, DnasimError>,
-{
-    let mut prefetch = PrefetchSource::spawn(source, batch_size)?;
-    let mut stats = pump(&mut prefetch, sink, batch_size, transform)?;
-    stats.high_watermark = stats.high_watermark.max(prefetch.stats().high_watermark);
-    Ok(stats)
-}
-
 /// A [`ClusterSource`] over an in-memory [`Dataset`], cloning each window
 /// of clusters out of the dataset. See [`Dataset::stream`].
 #[derive(Debug)]
@@ -656,7 +773,7 @@ mod tests {
         let ds = sample(10);
         for batch_size in [1, 3, 7, 10, 64, usize::MAX] {
             let mut out = Dataset::new();
-            let stats = pump(&mut ds.stream(), &mut out, batch_size, Ok).unwrap();
+            let stats = pump(&mut ds.stream(), &mut out, batch_size, None, "copy", Ok).unwrap();
             assert_eq!(out, ds, "batch_size={batch_size}");
             assert_eq!(stats.clusters, 10);
             assert!(stats.high_watermark <= batch_size);
@@ -671,15 +788,13 @@ mod tests {
         let second = source.next_batch(3).unwrap().unwrap();
         assert_eq!(first.global_indices(), 0..3);
         assert_eq!(second.global_indices(), 3..6);
-        let indexed: Vec<usize> = second.iter_indexed().map(|(i, _)| i).collect();
-        assert_eq!(indexed, vec![3, 4, 5]);
     }
 
     #[test]
     fn zero_batch_size_is_config_error() {
         let ds = sample(2);
         let mut out = Dataset::new();
-        let err = pump(&mut ds.stream(), &mut out, 0, Ok).unwrap_err();
+        let err = pump(&mut ds.stream(), &mut out, 0, None, "copy", Ok).unwrap_err();
         assert!(matches!(err, DnasimError::Config { .. }));
     }
 
@@ -695,7 +810,7 @@ mod tests {
     fn pump_rejects_shape_changing_transform() {
         let ds = sample(4);
         let mut out = Dataset::new();
-        let err = pump(&mut ds.stream(), &mut out, 2, |b| {
+        let err = pump(&mut ds.stream(), &mut out, 2, None, "copy", |b| {
             Ok(Batch::new(b.start(), Vec::new()))
         })
         .unwrap_err();
@@ -706,7 +821,7 @@ mod tests {
     fn null_sink_counts() {
         let ds = sample(9);
         let mut sink = NullSink::new();
-        let stats = pump(&mut ds.stream(), &mut sink, 4, Ok).unwrap();
+        let stats = pump(&mut ds.stream(), &mut sink, 4, None, "copy", Ok).unwrap();
         assert_eq!(sink.clusters(), 9);
         assert_eq!(stats.batches, 3);
         assert_eq!(stats.high_watermark, 4);
@@ -739,7 +854,7 @@ mod tests {
             emit_empty: true,
         };
         let mut out = Dataset::new();
-        let stats = pump(&mut source, &mut out, 2, Ok).unwrap();
+        let stats = pump(&mut source, &mut out, 2, None, "copy", Ok).unwrap();
         assert_eq!(out, ds);
         // Only the three non-empty windows count toward the stats.
         assert_eq!(stats.batches, 3);
@@ -751,7 +866,7 @@ mod tests {
     fn empty_source_yields_zeroed_stats_and_runs_finish() {
         let ds = Dataset::new();
         let mut sink = NullSink::new();
-        let stats = pump(&mut ds.stream(), &mut sink, 8, Ok).unwrap();
+        let stats = pump(&mut ds.stream(), &mut sink, 8, None, "copy", Ok).unwrap();
         assert_eq!(stats, WindowStats::default());
         assert_eq!(stats.high_watermark, 0);
         assert_eq!(sink.clusters(), 0);
@@ -761,7 +876,7 @@ mod tests {
     fn single_cluster_window_pins_watermark_to_one() {
         let ds = sample(5);
         let mut out = Dataset::new();
-        let stats = pump(&mut ds.stream(), &mut out, 1, Ok).unwrap();
+        let stats = pump(&mut ds.stream(), &mut out, 1, None, "copy", Ok).unwrap();
         assert_eq!(out, ds);
         assert_eq!(stats.batches, 5);
         assert_eq!(stats.clusters, 5);
@@ -780,7 +895,7 @@ mod tests {
         for (round, &batch_size) in sizes.iter().enumerate() {
             let ds = sample(8 + round);
             let mut sink = NullSink::new();
-            let window = pump(&mut ds.stream(), &mut sink, batch_size, Ok).unwrap();
+            let window = pump(&mut ds.stream(), &mut sink, batch_size, None, "copy", Ok).unwrap();
             assert!(window.high_watermark <= batch_size);
             aggregate.absorb(window);
             assert!(
@@ -808,7 +923,7 @@ mod tests {
                 let budget = Budget::limited(limit);
                 let mut out = Dataset::new();
                 let result =
-                    pump_budgeted(&mut ds.stream(), &mut out, batch_size, &budget, "copy", Ok);
+                    pump(&mut ds.stream(), &mut out, batch_size, Some(&budget), "copy", Ok);
                 if limit >= 10 {
                     result.unwrap();
                 } else {
@@ -830,6 +945,39 @@ mod tests {
         }
     }
 
+    #[test]
+    fn index_pump_meters_each_window_before_producing_it() {
+        for batch_size in [1, 3, 64] {
+            let budget = Budget::limited(5);
+            let mut produced = 0;
+            let mut out = Dataset::new();
+            let err = pump_indices(9, &mut out, batch_size, Some(&budget), "make", |range| {
+                produced += range.len();
+                Ok(sample(9).clusters()[range].to_vec())
+            })
+            .unwrap_err();
+            assert!(matches!(err, DnasimError::DeadlineExceeded { spent: 5, .. }));
+            assert_eq!(produced, 5, "batch_size={batch_size}: refused indices were built");
+            assert_eq!(out.clusters(), &sample(9).clusters()[..5]);
+        }
+    }
+
+    #[test]
+    fn fold_keeps_the_admitted_counters_when_the_budget_cuts() {
+        let ds = sample(10);
+        let budget = Budget::limited(7);
+        let mut window = WindowStats::default();
+        let mut consumed = 0;
+        let err = fold(&mut ds.stream(), 3, Some(&budget), "count", &mut window, |batch| {
+            consumed += batch.len();
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(matches!(err, DnasimError::DeadlineExceeded { .. }));
+        assert_eq!(consumed, 7);
+        assert_eq!((window.batches, window.clusters, window.high_watermark), (3, 7, 3));
+    }
+
     /// A source that never produces a cluster: without the empty-batch
     /// charge this would loop forever; with it, the budget trips.
     struct StalledForever;
@@ -845,7 +993,7 @@ mod tests {
         let budget = Budget::limited(16);
         let mut sink = NullSink::new();
         let err =
-            pump_budgeted(&mut StalledForever, &mut sink, 4, &budget, "stall", Ok).unwrap_err();
+            pump(&mut StalledForever, &mut sink, 4, Some(&budget), "stall", Ok).unwrap_err();
         assert!(matches!(err, DnasimError::DeadlineExceeded { .. }));
         assert_eq!(sink.clusters(), 0);
     }
@@ -856,9 +1004,23 @@ mod tests {
         let budget = Budget::unlimited();
         budget.token().cancel();
         let mut out = Dataset::new();
-        let err = pump_budgeted(&mut ds.stream(), &mut out, 2, &budget, "drain", Ok).unwrap_err();
+        let err = pump(&mut ds.stream(), &mut out, 2, Some(&budget), "drain", Ok).unwrap_err();
         assert!(matches!(err, DnasimError::DeadlineExceeded { .. }));
         assert!(out.is_empty(), "cancellation before the first batch emits nothing");
+    }
+
+    /// Pumps `source` through a [`PrefetchSource`], folding the hand-off's
+    /// in-flight peak (consumer window plus prefetched batch) into the
+    /// returned watermark.
+    fn pump_prefetched<S: ClusterSource + Send + 'static>(
+        source: S,
+        out: &mut Dataset,
+        batch_size: usize,
+    ) -> Result<WindowStats, DnasimError> {
+        let mut prefetch = PrefetchSource::spawn(source, batch_size)?;
+        let mut stats = pump(&mut prefetch, out, batch_size, None, "copy", Ok)?;
+        stats.high_watermark = stats.high_watermark.max(prefetch.stats().high_watermark);
+        Ok(stats)
     }
 
     #[test]
@@ -866,8 +1028,7 @@ mod tests {
         let ds = sample(13);
         for batch_size in [1, 3, 7, 13, 64] {
             let mut out = Dataset::new();
-            let stats =
-                pump_prefetch(ds.clone().into_stream(), &mut out, batch_size, Ok).unwrap();
+            let stats = pump_prefetched(ds.clone().into_stream(), &mut out, batch_size).unwrap();
             assert_eq!(out, ds, "batch_size={batch_size}");
             assert_eq!(stats.clusters, 13);
             assert!(
@@ -892,7 +1053,7 @@ mod tests {
     fn prefetch_single_batch_watermark_is_one_batch() {
         let ds = sample(3);
         let mut out = Dataset::new();
-        let stats = pump_prefetch(ds.clone().into_stream(), &mut out, 8, Ok).unwrap();
+        let stats = pump_prefetched(ds.clone().into_stream(), &mut out, 8).unwrap();
         assert_eq!(out, ds);
         assert_eq!(stats.batches, 1);
         // With a single batch there is never a second buffer in flight.
@@ -989,7 +1150,7 @@ mod tests {
             cursor: 0,
         };
         let mut out = Dataset::new();
-        let err = pump_prefetch(source, &mut out, 1, Ok).unwrap_err();
+        let err = pump_prefetched(source, &mut out, 1).unwrap_err();
         assert!(matches!(err, DnasimError::Config { .. }));
         // Every batch decoded before the fault was delivered, in order —
         // exactly what the serial pump would have done.
@@ -1032,11 +1193,11 @@ mod tests {
         let ds = sample(9);
         let total: usize = resident_reads(ds.clusters());
         let mut out = Dataset::new();
-        let stats = pump(&mut ds.stream(), &mut out, 3, Ok).unwrap();
+        let stats = pump(&mut ds.stream(), &mut out, 3, None, "copy", Ok).unwrap();
         assert_eq!(stats.peak_resident_reads, 2);
         // One whole-dataset window degenerates to the total.
         let mut whole = Dataset::new();
-        let stats = pump(&mut ds.stream(), &mut whole, usize::MAX, Ok).unwrap();
+        let stats = pump(&mut ds.stream(), &mut whole, usize::MAX, None, "copy", Ok).unwrap();
         assert_eq!(stats.peak_resident_reads, total);
     }
 

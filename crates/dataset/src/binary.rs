@@ -528,12 +528,7 @@ impl<R: BufRead> Iterator for BinaryDatasetReader<R> {
 
 impl<R: BufRead> ClusterSource for BinaryDatasetReader<R> {
     fn next_batch(&mut self, max: usize) -> Result<Option<Batch>, DnasimError> {
-        if max == 0 {
-            return Err(DnasimError::config(
-                "batch_size",
-                "streaming batch size must be at least 1",
-            ));
-        }
+        let max = dnasim_core::checked_batch_size(max)?;
         let start = self.emitted;
         let mut clusters = Vec::new();
         while clusters.len() < max {

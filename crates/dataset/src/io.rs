@@ -341,12 +341,7 @@ impl<R: BufRead> Iterator for DatasetReader<R> {
 
 impl<R: BufRead> ClusterSource for DatasetReader<R> {
     fn next_batch(&mut self, max: usize) -> Result<Option<Batch>, DnasimError> {
-        if max == 0 {
-            return Err(DnasimError::config(
-                "batch_size",
-                "streaming batch size must be at least 1",
-            ));
-        }
+        let max = dnasim_core::checked_batch_size(max)?;
         let start = self.emitted;
         let mut clusters = Vec::new();
         while clusters.len() < max {
@@ -639,7 +634,7 @@ mod tests {
         for batch_size in [1, 2, 4, usize::MAX] {
             let mut buf = Vec::new();
             let mut sink = DatasetWriter::new(&mut buf);
-            dnasim_core::pump(&mut ds.stream(), &mut sink, batch_size, Ok).unwrap();
+            dnasim_core::pump(&mut ds.stream(), &mut sink, batch_size, None, "copy", Ok).unwrap();
             assert_eq!(buf, whole, "batch_size={batch_size}");
         }
     }

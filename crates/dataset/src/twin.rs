@@ -13,9 +13,11 @@
 
 use dnasim_channel::{CoverageModel, ErrorModel};
 use dnasim_core::rng::{SeedSequence, SimRng};
-use dnasim_core::{Base, Batch, Budget, Cluster, ClusterSink, Dataset, DnasimError, Strand, WindowStats};
+use dnasim_core::{
+    pump_indices, Base, Cluster, ClusterSink, Dataset, DnasimError, Strand, WindowStats,
+};
 use dnasim_core::rng::RngExt;
-use dnasim_par::ThreadPool;
+use dnasim_par::{Run, ThreadPool};
 
 /// The error "personality" of a twin dataset: kind mix, terminal skew,
 /// substitution bias and burstiness.
@@ -142,43 +144,32 @@ impl NanoporeTwinConfig {
     /// [`SeedSequence::fork`]`(i)` of the root seed, rather than by
     /// threading one serial RNG through the whole dataset. Stream
     /// independence means the bytes of cluster `i` do not depend on how
-    /// many clusters precede it — so [`NanoporeTwinConfig::generate_on`]
-    /// can fan the same work out over threads and produce identical bytes.
+    /// many clusters precede it — so [`NanoporeTwinConfig::generate_stream`]
+    /// can fan the same work out over threads and windows and produce
+    /// identical bytes.
     pub fn generate(&self) -> Dataset {
-        let seq = SeedSequence::new(self.seed);
-        let channel = self.channel();
-        let coverage = self.coverage_model();
-        let clusters = (0..self.cluster_count)
-            .map(|index| {
-                let mut rng = seq.fork_rng(index as u64);
-                self.generate_cluster(index, &channel, &coverage, &mut rng)
-            })
-            .collect();
-        Dataset::from_clusters(clusters)
+        let cluster = self.cluster_generator();
+        (0..self.cluster_count).map(cluster).collect()
     }
 
-    /// Parallel counterpart of [`NanoporeTwinConfig::generate`]: same
-    /// bytes for any thread count, thanks to the per-cluster fork
-    /// discipline.
+    /// [`NanoporeTwinConfig::generate`] on a worker pool: same bytes for
+    /// any thread count, thanks to the per-cluster fork discipline.
     ///
     /// # Errors
     ///
     /// Returns [`DnasimError::Degraded`] if a worker panicked.
     pub fn generate_on(&self, pool: &ThreadPool) -> Result<Dataset, DnasimError> {
-        let seq = SeedSequence::new(self.seed);
-        let channel = self.channel();
-        let coverage = self.coverage_model();
-        let clusters = pool.par_map_len(self.cluster_count, |index| {
-            let mut rng = seq.fork_rng(index as u64);
-            self.generate_cluster(index, &channel, &coverage, &mut rng)
-        })?;
-        Ok(Dataset::from_clusters(clusters))
+        let mut dataset = Dataset::new();
+        self.generate_stream(&Run { pool: *pool, ..Run::serial() }, &mut dataset)?;
+        Ok(dataset)
     }
 
-    /// Streaming counterpart of [`NanoporeTwinConfig::generate_on`]:
-    /// generates the twin in bounded batches of at most `batch_size`
-    /// clusters, pushing each finished batch into `sink` — at no point
-    /// does more than one batch exist in memory.
+    /// Generates the twin in windows of at most `run.batch_size` clusters
+    /// on `run.pool`, pushing each finished window into `sink` — at no
+    /// point does more than one window exist in memory. With
+    /// `run.budget`, each cluster costs one work unit, so an exhausted
+    /// budget always cuts the twin at global cluster `limit` — at any
+    /// batch size or thread count — after emitting the admitted prefix.
     ///
     /// Cluster `i` is always generated on [`SeedSequence::fork`]`(i)` of
     /// its global index, so the emitted clusters are byte-identical to
@@ -188,71 +179,29 @@ impl NanoporeTwinConfig {
     /// # Errors
     ///
     /// [`DnasimError::Config`] for `batch_size == 0`,
-    /// [`DnasimError::Degraded`] if a worker panicked, or whatever the
-    /// sink reports.
-    pub fn generate_stream<K>(
-        &self,
-        batch_size: usize,
-        pool: &ThreadPool,
-        sink: &mut K,
-    ) -> Result<WindowStats, DnasimError>
+    /// [`DnasimError::DeadlineExceeded`] on budget exhaustion or
+    /// cancellation, [`DnasimError::Degraded`] if a worker panicked, or
+    /// whatever the sink reports.
+    pub fn generate_stream<K>(&self, run: &Run, sink: &mut K) -> Result<WindowStats, DnasimError>
     where
         K: ClusterSink + ?Sized,
     {
-        self.generate_stream_budgeted(batch_size, pool, &Budget::unlimited(), sink)
+        let cluster = self.cluster_generator();
+        pump_indices(self.cluster_count, sink, run.batch_size, run.budget, "generate", |range| {
+            let start = range.start;
+            Ok(run.pool.par_map_len(range.len(), |i| cluster(start + i))?)
+        })
     }
 
-    /// [`NanoporeTwinConfig::generate_stream`] metered by a [`Budget`]:
-    /// one work unit per generated cluster, admitted in the serial batch
-    /// loop, so an exhausted budget always cuts the twin at global cluster
-    /// `limit` — at any batch size or thread count — after emitting the
-    /// admitted prefix.
-    ///
-    /// # Errors
-    ///
-    /// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation,
-    /// plus everything [`NanoporeTwinConfig::generate_stream`] can report.
-    pub fn generate_stream_budgeted<K>(
-        &self,
-        batch_size: usize,
-        pool: &ThreadPool,
-        budget: &Budget,
-        sink: &mut K,
-    ) -> Result<WindowStats, DnasimError>
-    where
-        K: ClusterSink + ?Sized,
-    {
-        if batch_size == 0 {
-            return Err(DnasimError::config(
-                "batch_size",
-                "streaming batch size must be at least 1",
-            ));
-        }
+    /// The per-cluster generator: cluster `index` on its forked stream.
+    fn cluster_generator(&self) -> impl Fn(usize) -> Cluster + Sync + '_ {
         let seq = SeedSequence::new(self.seed);
         let channel = self.channel();
         let coverage = self.coverage_model();
-        let mut stats = WindowStats::default();
-        let mut start = 0usize;
-        while start < self.cluster_count {
-            budget.check("generate")?;
-            let len = batch_size.min(self.cluster_count - start);
-            let admitted = usize::try_from(budget.admit(len as u64)).unwrap_or(usize::MAX);
-            let clusters = pool.par_map_len(admitted, |i| {
-                let index = start + i;
-                let mut rng = seq.fork_rng(index as u64);
-                self.generate_cluster(index, &channel, &coverage, &mut rng)
-            })?;
-            if admitted > 0 {
-                stats.record_window(admitted, dnasim_core::resident_reads(&clusters));
-                sink.accept(Batch::new(start, clusters))?;
-                start += admitted;
-            }
-            if admitted < len {
-                return Err(budget.exceeded("generate"));
-            }
+        move |index| {
+            let mut rng = seq.fork_rng(index as u64);
+            self.generate_cluster(index, &channel, &coverage, &mut rng)
         }
-        sink.finish()?;
-        Ok(stats)
     }
 
     fn channel(&self) -> GroundTruthChannel {
@@ -572,9 +521,8 @@ mod tests {
         for batch_size in [1, 7, 30, usize::MAX] {
             for threads in [1, 4] {
                 let mut streamed = Dataset::new();
-                let stats = config
-                    .generate_stream(batch_size, &ThreadPool::new(threads), &mut streamed)
-                    .unwrap();
+                let run = Run { pool: ThreadPool::new(threads), batch_size, budget: None };
+                let stats = config.generate_stream(&run, &mut streamed).unwrap();
                 assert_eq!(streamed, whole, "batch_size={batch_size} threads={threads}");
                 assert_eq!(stats.clusters, 30);
                 assert!(stats.high_watermark <= batch_size);
@@ -586,9 +534,8 @@ mod tests {
     fn generate_stream_rejects_zero_batch() {
         let config = NanoporeTwinConfig::small();
         let mut out = Dataset::new();
-        assert!(config
-            .generate_stream(0, &ThreadPool::serial(), &mut out)
-            .is_err());
+        let run = Run { batch_size: 0, ..Run::serial() };
+        assert!(config.generate_stream(&run, &mut out).is_err());
     }
 
     #[test]

@@ -188,7 +188,7 @@ fn binary_writer_via_sink_matches_whole_file_write() {
     for batch_size in [1, 2, 4, usize::MAX] {
         let mut buf = Vec::new();
         let mut sink = BinaryDatasetWriter::new(&mut buf);
-        dnasim_core::pump(&mut ds.stream(), &mut sink, batch_size, Ok).unwrap();
+        dnasim_core::pump(&mut ds.stream(), &mut sink, batch_size, None, "copy", Ok).unwrap();
         assert_eq!(buf, whole, "batch_size={batch_size}");
     }
 }

@@ -15,7 +15,7 @@ use dnasim_channel::{CoverageModel, KeoliyaModel, NaiveModel, Simulator, Simulat
 use dnasim_cluster::{GreedyClusterer, StreamingClusterer};
 use dnasim_codec::{OuterRsCode, ReedSolomon, StrandLayout};
 use dnasim_core::rng::{seeded, RngExt};
-use dnasim_core::{pump_budgeted, Budget, Cluster, Dataset, DnasimError, NullSink, Strand};
+use dnasim_core::{pump, Budget, Cluster, Dataset, DnasimError, NullSink, Strand};
 use dnasim_dataset::{
     generate_references, read_dataset, write_dataset, ReadDatasetError, ReferenceStyle,
 };
@@ -179,29 +179,12 @@ impl ChaosReport {
                 "{{\"fault\":\"{}\",\"seed\":{},\"message\":\"{}\"}}",
                 bad.fault.name(),
                 bad.seed,
-                escape_json(message),
+                dnasim_core::json::escape(message),
             ));
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping for panic messages.
-fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Sweeps every [`FaultKind`] over a seed grid.
@@ -439,7 +422,7 @@ fn exercise_streaming(fault: FaultKind, seed: u64) -> Verdict {
             let mut source = StallingSource::new(clusters[..keep].to_vec());
             let mut sink = NullSink::new();
             let budget = Budget::limited(total + 4);
-            match pump_budgeted(&mut source, &mut sink, 3, &budget, "pump", Ok) {
+            match pump(&mut source, &mut sink, 3, Some(&budget), "pump", Ok) {
                 Err(e) => Verdict::TypedError(e.to_string()),
                 Ok(_) => Verdict::Tolerated,
             }
@@ -448,7 +431,7 @@ fn exercise_streaming(fault: FaultKind, seed: u64) -> Verdict {
             let capacity = rng.random_range(0..clusters.len().max(1));
             let mut source = dataset.stream();
             let mut sink = FailingSink::new(capacity);
-            match pump_budgeted(&mut source, &mut sink, 2, &Budget::unlimited(), "pump", Ok) {
+            match pump(&mut source, &mut sink, 2, None, "pump", Ok) {
                 Err(e) => Verdict::TypedError(e.to_string()),
                 Ok(_) => Verdict::Tolerated,
             }
@@ -498,7 +481,7 @@ fn exercise_streaming(fault: FaultKind, seed: u64) -> Verdict {
             let mut source = dataset.stream();
             let mut sink = NullSink::new();
             let budget = Budget::limited(limit);
-            match pump_budgeted(&mut source, &mut sink, 4, &budget, "pump", Ok) {
+            match pump(&mut source, &mut sink, 4, Some(&budget), "pump", Ok) {
                 Err(DnasimError::DeadlineExceeded { spent, .. }) => {
                     debug_assert_eq!(sink.clusters() as u64, spent);
                     Verdict::Quarantined((total - spent.min(total)) as usize)

@@ -95,7 +95,7 @@ impl ClusterSink for FailingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnasim_core::{pump, pump_budgeted, Budget, NullSink, Strand};
+    use dnasim_core::{pump, Budget, NullSink, Strand};
 
     fn clusters(n: usize) -> Vec<Cluster> {
         (0..n)
@@ -111,7 +111,7 @@ mod tests {
         let mut source = StallingSource::new(clusters(6));
         let mut sink = NullSink::new();
         let budget = Budget::limited(10);
-        let err = pump_budgeted(&mut source, &mut sink, 4, &budget, "pump", Ok).unwrap_err();
+        let err = pump(&mut source, &mut sink, 4, Some(&budget), "pump", Ok).unwrap_err();
         assert!(
             matches!(err, DnasimError::DeadlineExceeded { .. }),
             "{err}"
@@ -125,7 +125,7 @@ mod tests {
         let mut source = StallingSource::new(clusters(8));
         let mut sink = FailingSink::new(5);
         let budget = Budget::limited(64);
-        let err = pump_budgeted(&mut source, &mut sink, 2, &budget, "pump", Ok).unwrap_err();
+        let err = pump(&mut source, &mut sink, 2, Some(&budget), "pump", Ok).unwrap_err();
         assert!(matches!(err, DnasimError::Io(_)), "{err}");
         assert!(sink.accepted() <= 5);
     }
@@ -137,7 +137,7 @@ mod tests {
         let budget = Budget::limited(8);
         // The source stalls after its 4 clusters, so the run still ends in
         // a deadline — but not in a sink failure.
-        let err = pump_budgeted(&mut all, &mut sink, 2, &budget, "pump", Ok).unwrap_err();
+        let err = pump(&mut all, &mut sink, 2, Some(&budget), "pump", Ok).unwrap_err();
         assert!(matches!(err, DnasimError::DeadlineExceeded { .. }));
         assert_eq!(sink.accepted(), 4);
     }
@@ -161,7 +161,7 @@ mod tests {
         }
         let mut source = Closing(StallingSource::new(clusters(5)), 0);
         let mut sink = NullSink::new();
-        let stats = pump(&mut source, &mut sink, 2, Ok).expect("clean pump");
+        let stats = pump(&mut source, &mut sink, 2, None, "pump", Ok).expect("clean pump");
         assert_eq!(stats.clusters, 5);
     }
 }

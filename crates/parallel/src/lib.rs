@@ -6,11 +6,14 @@
 //! dependencies**, so there is no `rayon` to reach for. This crate is the
 //! in-tree substitute, built on `std::thread::scope`:
 //!
-//! * [`ThreadPool::par_map_indexed`] / [`ThreadPool::par_for_each_indexed`]
-//!   fan a slice out over workers and return results **in item order**;
+//! * [`ThreadPool::par_map_len`] / [`ThreadPool::par_map_indexed`] fan
+//!   an index range or a slice out over workers and return results **in
+//!   item order**;
 //! * scheduling is work-stealing over chunked per-worker deques, so uneven
 //!   per-item cost (BMA on a high-coverage cluster next to an erasure) does
 //!   not serialise on the slowest worker;
+//! * [`Run`] bundles a pool with the window size and optional work budget
+//!   every streaming stage takes;
 //! * a worker panic is **isolated**: it aborts the remaining work and
 //!   surfaces as a typed [`PoolError`] (convertible to
 //!   [`DnasimError::Degraded`]), never as a hang or a cross-thread abort.
@@ -22,9 +25,9 @@
 //! each pipeline stage). The pool guarantees ordering: slot `i` of the
 //! result always holds `f(i, &items[i])`. Randomness is the caller's half
 //! of the contract: an item must draw only from its own stream, derived
-//! with [`SeedSequence::fork`] from the item index — never from a shared
-//! generator, whose draw order would depend on scheduling. The
-//! [`ThreadPool::par_map_seeded`] helper packages that discipline.
+//! with [`SeedSequence::fork`](dnasim_core::rng::SeedSequence::fork) from
+//! the item index — never from a shared generator, whose draw order would
+//! depend on scheduling.
 //!
 //! ```
 //! use dnasim_core::rng::{RngExt, SeedSequence};
@@ -32,9 +35,9 @@
 //!
 //! let seq = SeedSequence::new(42);
 //! let items = vec![10u64, 20, 30, 40];
-//! let draw = |_, &bound: &u64, rng: &mut dnasim_core::rng::SimRng| rng.random_range(0..bound);
-//! let two = ThreadPool::new(2).par_map_seeded(&seq, &items, draw)?;
-//! let eight = ThreadPool::new(8).par_map_seeded(&seq, &items, draw)?;
+//! let draw = |i: usize, &bound: &u64| seq.fork_rng(i as u64).random_range(0..bound);
+//! let two = ThreadPool::new(2).par_map_indexed(&items, draw)?;
+//! let eight = ThreadPool::new(8).par_map_indexed(&items, draw)?;
 //! assert_eq!(two, eight); // independent of thread count
 //! # Ok::<(), dnasim_par::PoolError>(())
 //! ```
@@ -50,7 +53,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use dnasim_core::rng::{SeedSequence, SimRng};
 use dnasim_core::{Budget, DnasimError};
 
 /// Environment variable overriding the default worker count
@@ -205,141 +207,53 @@ impl ThreadPool {
     {
         self.par_map_len(items.len(), |i| f(i, &items[i]))
     }
-
-    /// Runs `f(index, &items[index])` for every item, for its side effects
-    /// on `Sync` state (atomics, mutexed accumulators).
-    ///
-    /// Every item is executed exactly once on success; ordering across
-    /// workers is unspecified, so effects must commute.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError`] if any invocation of `f` panics.
-    pub fn par_for_each_indexed<T, F>(&self, items: &[T], f: F) -> Result<(), PoolError>
-    where
-        T: Sync,
-        F: Fn(usize, &T) + Sync,
-    {
-        self.par_map_len(items.len(), |i| f(i, &items[i]))
-            .map(|_: Vec<()>| ())
-    }
-
-    /// [`par_map_indexed`](ThreadPool::par_map_indexed) with the workspace
-    /// seeding discipline built in: item `i` receives a private [`SimRng`]
-    /// forked from `seq` by its index, so its stream is independent of
-    /// scheduling, thread count, and every other item.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError`] if any invocation of `f` panics.
-    pub fn par_map_seeded<T, R, F>(
-        &self,
-        seq: &SeedSequence,
-        items: &[T],
-        f: F,
-    ) -> Result<Vec<R>, PoolError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T, &mut SimRng) -> R + Sync,
-    {
-        self.par_map_len(items.len(), |i| {
-            let mut rng = seq.fork_rng(i as u64);
-            f(i, &items[i], &mut rng)
-        })
-    }
-
-    /// [`par_map_indexed`](ThreadPool::par_map_indexed) metered by a
-    /// [`Budget`]: charges one work unit per item *before* fanning out and
-    /// maps only the admitted prefix, returning `(results, admitted)`.
-    ///
-    /// The admission happens in the caller's (serial) thread, so the cut
-    /// point is a pure function of the budget — the parallel workers never
-    /// touch the meter and cannot perturb determinism. `admitted <
-    /// items.len()` means the budget ran dry; the caller decides whether
-    /// the prefix is usable (pump-style drivers emit it, all-or-nothing
-    /// stages discard it via [`par_map_budgeted`](ThreadPool::par_map_budgeted)).
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError`] if any invocation of `f` panics.
-    pub fn par_map_admitted<T, R, F>(
-        &self,
-        budget: &Budget,
-        items: &[T],
-        f: F,
-    ) -> Result<(Vec<R>, usize), PoolError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let admitted = usize::try_from(budget.admit(items.len() as u64)).unwrap_or(usize::MAX);
-        let out = self.par_map_len(admitted, |i| f(i, &items[i]))?;
-        Ok((out, admitted))
-    }
-
-    /// [`par_map_seeded`](ThreadPool::par_map_seeded) metered by a
-    /// [`Budget`]: the admitted prefix keeps the per-item
-    /// [`SeedSequence::fork`] discipline, so a budgeted run's prefix is
-    /// byte-identical to the unbudgeted run's.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError`] if any invocation of `f` panics.
-    pub fn par_map_seeded_admitted<T, R, F>(
-        &self,
-        budget: &Budget,
-        seq: &SeedSequence,
-        items: &[T],
-        f: F,
-    ) -> Result<(Vec<R>, usize), PoolError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T, &mut SimRng) -> R + Sync,
-    {
-        self.par_map_admitted(budget, items, |i, item| {
-            let mut rng = seq.fork_rng(i as u64);
-            f(i, item, &mut rng)
-        })
-    }
-
-    /// All-or-error form of [`par_map_admitted`](ThreadPool::par_map_admitted)
-    /// for stages that cannot use a partial result: checks the budget's
-    /// cancellation token, admits every item or fails with the typed
-    /// deadline error, and converts pool panics into [`DnasimError`].
-    ///
-    /// # Errors
-    ///
-    /// [`DnasimError::DeadlineExceeded`] when cancelled or when fewer than
-    /// `items.len()` units remain; [`DnasimError::Degraded`] if a worker
-    /// panics.
-    pub fn par_map_budgeted<T, R, F>(
-        &self,
-        budget: &Budget,
-        stage: &'static str,
-        items: &[T],
-        f: F,
-    ) -> Result<Vec<R>, DnasimError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        budget.check(stage)?;
-        let (out, admitted) = self.par_map_admitted(budget, items, f)?;
-        if admitted < items.len() {
-            return Err(budget.exceeded(stage));
-        }
-        Ok(out)
-    }
 }
 
 impl Default for ThreadPool {
     /// [`ThreadPool::from_env`].
     fn default() -> ThreadPool {
         ThreadPool::from_env()
+    }
+}
+
+/// The execution context every streaming stage takes: the worker pool,
+/// the window size, and the optional work budget.
+///
+/// Each stage has one entry point that takes `&Run`; the in-memory forms
+/// are that entry point at `batch_size == usize::MAX`. Start from
+/// [`Run::serial`] and override what differs:
+///
+/// ```
+/// use dnasim_core::Budget;
+/// use dnasim_par::{Run, ThreadPool};
+///
+/// let budget = Budget::limited(100);
+/// let run = Run { pool: ThreadPool::new(4), batch_size: 64, budget: Some(&budget) };
+/// let unmetered = Run { pool: ThreadPool::new(4), ..Run::serial() };
+/// assert_eq!(unmetered.batch_size, usize::MAX);
+/// assert!(run.budget.is_some() && unmetered.budget.is_none());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// Workers a window's clusters fan out over. Output is byte-identical
+    /// for every thread count.
+    pub pool: ThreadPool,
+    /// Clusters per window (at least 1); `usize::MAX` processes the whole
+    /// input as one window.
+    pub batch_size: usize,
+    /// Work units the stage may spend, one per cluster, metered at window
+    /// boundaries (DESIGN.md §13); `None` is unmetered.
+    pub budget: Option<&'a Budget>,
+}
+
+impl Run<'_> {
+    /// One worker, one window, no budget.
+    pub fn serial() -> Self {
+        Run {
+            pool: ThreadPool::serial(),
+            batch_size: usize::MAX,
+            budget: None,
+        }
     }
 }
 
@@ -490,18 +404,10 @@ fn next_range(
     None
 }
 
-/// Forks a deterministic RNG for item `index` of the stream rooted at
-/// `seed` — the free-function form of the seeding discipline for callers
-/// that do not hold a [`SeedSequence`].
-pub fn item_rng(seed: u64, index: u64) -> SimRng {
-    SeedSequence::new(seed).fork_rng(index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnasim_core::rng::Rng;
-    use std::sync::atomic::AtomicUsize;
+    use dnasim_core::rng::SeedSequence;
 
     #[test]
     fn map_matches_serial_iteration() {
@@ -524,25 +430,14 @@ mod tests {
     }
 
     #[test]
-    fn for_each_runs_every_item_exactly_once() {
-        let counters: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
-        ThreadPool::new(6)
-            .par_for_each_indexed(&counters, |_, c| {
-                c.fetch_add(1, Ordering::Relaxed);
-            })
-            .expect("no panics");
-        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn seeded_map_is_thread_count_invariant() {
         use dnasim_core::rng::RngExt;
         let seq = SeedSequence::new(0xF0CA);
         let items: Vec<u32> = (0..64).collect();
-        let draw = |_: usize, _: &u32, rng: &mut SimRng| rng.random::<u64>();
-        let reference = ThreadPool::serial().par_map_seeded(&seq, &items, draw).expect("ok");
+        let draw = |i: usize, _: &u32| seq.fork_rng(i as u64).random::<u64>();
+        let reference = ThreadPool::serial().par_map_indexed(&items, draw).expect("ok");
         for threads in [2, 4, 8] {
-            let got = ThreadPool::new(threads).par_map_seeded(&seq, &items, draw).expect("ok");
+            let got = ThreadPool::new(threads).par_map_indexed(&items, draw).expect("ok");
             assert_eq!(got, reference, "threads = {threads}");
         }
     }
@@ -570,66 +465,8 @@ mod tests {
     }
 
     #[test]
-    fn admitted_map_runs_exactly_the_budget_prefix() {
-        let items: Vec<u64> = (0..50).collect();
-        for threads in [1, 4] {
-            let budget = Budget::limited(20);
-            let (out, admitted) = ThreadPool::new(threads)
-                .par_map_admitted(&budget, &items, |_, &x| x * 2)
-                .expect("no panics");
-            assert_eq!(admitted, 20, "threads = {threads}");
-            assert_eq!(out, (0..20).map(|x| x * 2).collect::<Vec<u64>>());
-            assert_eq!(budget.spent(), 20);
-        }
-    }
-
-    #[test]
-    fn seeded_admitted_prefix_matches_unbudgeted_run() {
-        use dnasim_core::rng::RngExt;
-        let seq = SeedSequence::new(0xBEEF);
-        let items: Vec<u32> = (0..32).collect();
-        let draw = |_: usize, _: &u32, rng: &mut SimRng| rng.random::<u64>();
-        let full = ThreadPool::serial().par_map_seeded(&seq, &items, draw).expect("ok");
-        for threads in [1, 2, 4] {
-            let budget = Budget::limited(11);
-            let (prefix, admitted) = ThreadPool::new(threads)
-                .par_map_seeded_admitted(&budget, &seq, &items, draw)
-                .expect("ok");
-            assert_eq!(admitted, 11);
-            assert_eq!(prefix, full[..11], "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn budgeted_map_is_all_or_typed_error() {
-        let items: Vec<u32> = (0..16).collect();
-        let pool = ThreadPool::new(2);
-        let ok = pool
-            .par_map_budgeted(&Budget::limited(16), "stage", &items, |_, &x| x + 1)
-            .expect("budget covers the input");
-        assert_eq!(ok.len(), 16);
-        let err = pool
-            .par_map_budgeted(&Budget::limited(15), "stage", &items, |_, &x| x + 1)
-            .expect_err("one unit short");
-        assert!(matches!(err, DnasimError::DeadlineExceeded { spent: 15, limit: 15, .. }));
-        let cancelled = Budget::unlimited();
-        cancelled.token().cancel();
-        let err = pool
-            .par_map_budgeted(&cancelled, "stage", &items, |_, &x| x + 1)
-            .expect_err("cancelled budgets refuse work");
-        assert!(matches!(err, DnasimError::DeadlineExceeded { .. }));
-    }
-
-    #[test]
     fn zero_thread_request_clamps_to_one() {
         assert_eq!(ThreadPool::new(0).threads(), 1);
-    }
-
-    #[test]
-    fn item_rng_matches_fork_discipline() {
-        let mut a = item_rng(5, 9);
-        let mut b = SeedSequence::new(5).fork_rng(9);
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -17,10 +17,8 @@ proptest! {
     #[test]
     fn every_item_executes_exactly_once(len in 0usize..257, threads in 1usize..9) {
         let counters: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-        let items: Vec<usize> = (0..len).collect();
         ThreadPool::new(threads)
-            .par_for_each_indexed(&items, |index, &item| {
-                prop_assert_eq_unreachable(index, item);
+            .par_map_len(len, |index| {
                 counters[index].fetch_add(1, Ordering::Relaxed);
             })
             .unwrap();
@@ -58,14 +56,6 @@ proptest! {
             .unwrap();
         prop_assert_eq!(totals.len(), len);
     }
-}
-
-/// Helper used inside the exactly-once property: index and item must agree
-/// by construction; a mismatch means the pool handed a worker the wrong
-/// slot, which would corrupt results silently. Panics (rather than
-/// returning a TestCaseResult) because it runs inside pool workers.
-fn prop_assert_eq_unreachable(index: usize, item: usize) {
-    assert_eq!(index, item, "pool delivered item {item} under index {index}");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 //! clustering → trace reconstruction → decode. This is the "downstream
 //! user" path: store a byte buffer in simulated DNA and get it back.
 
+use std::cell::Cell;
 use std::fmt;
 
 use dnasim_channel::stages::{DecayStage, PcrStage, SequencingStage, SynthesisStage};
@@ -12,9 +13,12 @@ use dnasim_channel::NaiveModel;
 use dnasim_cluster::{GreedyClusterer, StreamingClusterer};
 use dnasim_codec::{LayoutError, OuterRsCode, RecoveryOutcome, RsError, StrandLayout, XorParity};
 use dnasim_core::rng::{RngExt, SeedSequence, SimRng};
-use dnasim_core::{Budget, Cluster, DnasimError, Strand, WindowStats};
+use dnasim_core::{
+    checked_batch_size, fold, Batch, Budget, Cluster, ClusterSource, DnasimError, Strand,
+    WindowStats,
+};
 use dnasim_dataset::GroundTruthChannel;
-use dnasim_par::{PoolError, ThreadPool};
+use dnasim_par::{PoolError, Run, ThreadPool};
 use dnasim_reconstruct::{
     BmaLookahead, Iterative, MajorityVote, TraceReconstructor, TwoWayIterative,
 };
@@ -210,12 +214,13 @@ pub fn archive_round_trip(
     archive_round_trip_on(data, config, rng, &ThreadPool::serial())
 }
 
-/// [`archive_round_trip`] with per-cluster decoding fanned out on `pool`.
+/// [`archive_round_trip`] with per-cluster work fanned out on `pool`.
 ///
-/// Only the pure reconstruct-and-decode stage is parallelised; every
-/// RNG-driven channel stage stays serial, and decoded strands are merged
-/// into their slots in cluster order. The report is therefore byte-identical
-/// to [`archive_round_trip`] for any thread count.
+/// Only pure per-group and per-cluster work is parallelised; every
+/// RNG-driven stage draws from streams forked by group index, and
+/// decoded strands are merged into their slots in cluster order. The
+/// report is therefore byte-identical to [`archive_round_trip`] for any
+/// thread count.
 ///
 /// # Errors
 ///
@@ -227,79 +232,65 @@ pub fn archive_round_trip_on(
     rng: &mut SimRng,
     workers: &ThreadPool,
 ) -> Result<ArchiveReport, ArchiveError> {
-    archive_round_trip_windowed(data, config, rng, workers, usize::MAX, &Budget::unlimited())
-        .map(|(report, _)| report)
+    let run = Run { pool: *workers, ..Run::serial() };
+    archive_round_trip_windowed(data, config, rng, &run).map(|(report, _)| report)
 }
 
-/// [`archive_round_trip_on`] with the reconstruct-and-decode stage run
-/// over a bounded window of at most `batch_size` clusters at a time.
+/// [`archive_round_trip_on`] with the channel, clustering and decode
+/// stages run over windows of at most `run.batch_size` strand groups or
+/// clusters on `run.pool`.
 ///
-/// The channel stages still materialise the molecule pool (PCR amplifies
-/// a shared population, so those stages are inherently whole-pool), but
-/// the decode stage — the expensive one — holds only `batch_size`
-/// clusters' worth of estimates in flight, merging decoded strands into
-/// their slots in cluster order. The report is byte-identical to
-/// [`archive_round_trip_on`] for every batch size and thread count; the
-/// returned [`WindowStats`] exposes the decode window's high-watermark
-/// for tests to audit.
+/// No stage materialises the molecule pool: each group's molecules are
+/// regenerated on demand from an RNG forked by group index, and the
+/// decode stage — the expensive one — holds only one window of clusters
+/// in flight, merging decoded strands into their slots in cluster order.
+/// The report is byte-identical to [`archive_round_trip_on`] for every
+/// batch size and thread count; the returned [`WindowStats`] expose the
+/// decode window's high-watermark and the peak reads resident.
+///
+/// With `run.budget`, each decode attempt costs one work unit. Budget
+/// *exhaustion* does not abort the round trip — undecoded clusters are
+/// quarantined as erasures and handed to the outer code, exactly as if
+/// the channel had destroyed them: within the redundancy budget the
+/// payload still comes back intact; beyond it, lenient mode reports
+/// degradation and strict mode fails with the `Unrecoverable` error.
+/// Cancellation, by contrast, returns [`DnasimError::DeadlineExceeded`]
+/// at the next window boundary. Both cut points are deterministic at any
+/// batch size or thread count.
 ///
 /// # Errors
 ///
-/// [`DnasimError::Config`] for `batch_size == 0`, plus everything
+/// [`DnasimError::Config`] for `batch_size == 0`,
+/// [`DnasimError::DeadlineExceeded`] on cancellation, plus everything
 /// [`archive_round_trip_on`] reports (converted into [`DnasimError`]).
 pub fn archive_round_trip_stream(
     data: &[u8],
     config: &ArchiveConfig,
     rng: &mut SimRng,
-    workers: &ThreadPool,
-    batch_size: usize,
+    run: &Run,
 ) -> Result<(ArchiveReport, WindowStats), DnasimError> {
-    archive_round_trip_stream_budgeted(data, config, rng, workers, batch_size, &Budget::unlimited())
+    checked_batch_size(run.batch_size)?;
+    archive_round_trip_windowed(data, config, rng, run).map_err(DnasimError::from)
 }
 
-/// [`archive_round_trip_stream`] metered by a [`Budget`]: one work unit
-/// per decode attempt (the expensive stage), admitted in the serial
-/// window loop.
-///
-/// Budget *exhaustion* does not abort the round trip — the archive layer
-/// already has a vocabulary for partial results, so undecoded clusters
-/// are quarantined as erasures and handed to the outer code, exactly as
-/// if the channel had destroyed them: within the redundancy budget the
-/// payload still comes back intact; beyond it, lenient mode reports
-/// degradation and strict mode fails with the existing `Unrecoverable`
-/// error. Cancellation, by contrast, returns
-/// [`DnasimError::DeadlineExceeded`] at the next window boundary. Both
-/// cut points are deterministic at any batch size or thread count.
-///
-/// # Errors
-///
-/// [`DnasimError::DeadlineExceeded`] on cancellation, plus everything
-/// [`archive_round_trip_stream`] reports.
-pub fn archive_round_trip_stream_budgeted(
-    data: &[u8],
-    config: &ArchiveConfig,
-    rng: &mut SimRng,
-    workers: &ThreadPool,
-    batch_size: usize,
-    budget: &Budget,
-) -> Result<(ArchiveReport, WindowStats), DnasimError> {
-    if batch_size == 0 {
-        return Err(DnasimError::config(
-            "batch_size",
-            "streaming batch size must be at least 1",
-        ));
+/// A [`ClusterSource`] whose windows a closure builds on demand — how the
+/// archive streams clusters it regenerates rather than reads.
+struct WindowFn<F>(F);
+
+impl<F> ClusterSource for WindowFn<F>
+where
+    F: FnMut(usize) -> Result<Option<Batch>, DnasimError>,
+{
+    fn next_batch(&mut self, max: usize) -> Result<Option<Batch>, DnasimError> {
+        (self.0)(checked_batch_size(max)?)
     }
-    archive_round_trip_windowed(data, config, rng, workers, batch_size, budget)
-        .map_err(DnasimError::from)
 }
 
 fn archive_round_trip_windowed(
     data: &[u8],
     config: &ArchiveConfig,
     rng: &mut SimRng,
-    workers: &ThreadPool,
-    batch_size: usize,
-    budget: &Budget,
+    run: &Run,
 ) -> Result<(ArchiveReport, WindowStats), ArchiveError> {
     // --- Encode: chunk → RS payload → strands; protect groups with XOR. ---
     let layout = StrandLayout::new(config.rs_codeword_len, config.rs_data_len, rng)
@@ -370,22 +361,22 @@ fn archive_round_trip_windowed(
         let pool = decay.run(&pool);
         pcr.run(&pool, &mut grng)
     };
+    let workers = &run.pool;
     let refs_len = references.len();
-    let window_len = batch_size.min(refs_len.max(1));
+    let window_len = run.batch_size.min(refs_len.max(1));
 
     // Pass 0: per-group total abundance, windowed — O(references) scalars
     // resident, never the molecules themselves. The global read budget is
     // then split across groups by the same categorical draw the whole-pool
     // sampler made, collapsed to group granularity.
-    let mut group_weights = vec![0.0f64; refs_len];
-    let mut start = 0usize;
-    while start < refs_len {
+    let mut group_weights = Vec::with_capacity(refs_len);
+    for start in (0..refs_len).step_by(window_len) {
         let len = window_len.min(refs_len - start);
-        let weights = workers
-            .par_map_len(len, |i| group_pool(start + i).total_abundance())
-            .map_err(ArchiveError::Worker)?;
-        group_weights[start..start + len].copy_from_slice(&weights);
-        start += len;
+        group_weights.extend(
+            workers
+                .par_map_len(len, |i| group_pool(start + i).total_abundance())
+                .map_err(ArchiveError::Worker)?,
+        );
     }
     let read_counts =
         sequencing.allocate_reads(&group_weights, &mut seeds.derive_rng("allocate"));
@@ -407,30 +398,27 @@ fn archive_round_trip_windowed(
         Box::new(MajorityVote),
     ];
     let chunk = layout.payload_bytes();
-    // Decode over a bounded window: at most `batch_size` clusters'
-    // estimates exist at once, and each window merges serially in cluster
-    // order (first-wins per slot) so quarantine counts and recovered
-    // bytes are independent of both worker scheduling and batch size.
+    // A worker panic surfaces from the window sources as a typed
+    // `Degraded`; the original `PoolError` is kept for `ArchiveError`.
+    let worker_panic: Cell<Option<PoolError>> = Cell::new(None);
+    let pool_failed = |e: PoolError| {
+        let err = DnasimError::from(e.clone());
+        worker_panic.set(Some(e));
+        err
+    };
+    // Decode runs over bounded windows through the batch loop, one work
+    // unit per decode attempt: at most `batch_size` clusters' estimates
+    // exist at once, and each window merges serially in cluster order
+    // (first-wins per slot) so quarantine counts and recovered bytes are
+    // independent of both worker scheduling and batch size.
     let mut received: Vec<Option<Vec<u8>>> = vec![None; protected.len()];
     let mut window = WindowStats::default();
-    // Decodes one window of clusters, budget-metered (one unit per decode
-    // attempt). Returns the admitted count; an admitted count below the
-    // window length means the budget ran dry — the caller stops decoding
-    // and the remaining clusters stay quarantined for erasure recovery.
-    let decode_window = |clusters: &[Cluster],
-                             resident_reads_now: usize,
-                             window: &mut WindowStats,
-                             received: &mut Vec<Option<Vec<u8>>>|
-     -> Result<usize, ArchiveError> {
-        budget.check("decode").map_err(ArchiveError::Cancelled)?;
-        let (decoded, admitted) = workers
-            .par_map_admitted(budget, clusters, |_, cluster| {
+    let mut decode = |batch: Batch| -> Result<(), DnasimError> {
+        let decoded = workers
+            .par_map_indexed(batch.clusters(), |_, cluster| {
                 decode_cluster(cluster, &ensemble, &layout)
             })
-            .map_err(ArchiveError::Worker)?;
-        if admitted > 0 {
-            window.record_window(admitted, resident_reads_now);
-        }
+            .map_err(pool_failed)?;
         for (index, bytes) in decoded.into_iter().flatten() {
             // Each strand carries `chunk` bytes of the flat protected
             // stream; the strand index orders them.
@@ -439,11 +427,11 @@ fn archive_round_trip_windowed(
                 received[slot] = Some(bytes);
             }
         }
-        Ok(admitted)
+        Ok(())
     };
 
     let reads_sequenced: usize;
-    if config.imperfect_clustering {
+    let decoded = if config.imperfect_clustering {
         // Pass A: stream the reads (group-major, window by window) through
         // the online clusterer. Groups are matched to references at
         // founding time, so every read's reference is known the moment it
@@ -454,8 +442,7 @@ fn archive_round_trip_windowed(
         let mut clusterer = StreamingClusterer::with_references(clusterer_config, &references);
         let mut assignments: Vec<Option<u32>> = Vec::new();
         let mut expected = vec![0usize; refs_len];
-        let mut start = 0usize;
-        while start < refs_len {
+        for start in (0..refs_len).step_by(window_len) {
             let len = window_len.min(refs_len - start);
             let reads_per_group = workers
                 .par_map_len(len, |i| sample_reads(start + i))
@@ -469,31 +456,30 @@ fn archive_round_trip_windowed(
                     }
                 }
             }
-            start += len;
         }
         clusterer.finish();
         reads_sequenced = expected.iter().sum();
 
         // Pass B: regenerate the same reads and route each into its
-        // reference's pending buffer; a reference decodes (and frees its
-        // buffer) the moment its last read arrives, so peak residency is
-        // governed by how long clusters stay incomplete — audited by the
-        // peak_resident_reads gauge — not by the pool size. References
-        // that received no reads are quarantined erasures, decoded first
-        // so every reference gets exactly one decode attempt.
+        // reference's pending buffer; a reference becomes ready (and its
+        // buffer is handed to the decoder) the moment its last read
+        // arrives, so peak residency is governed by how long clusters stay
+        // incomplete — audited by the peak_resident_reads gauge — not by
+        // the pool size. References that received no reads are
+        // quarantined erasures, emitted first so every reference gets
+        // exactly one decode attempt.
         let mut pending: Vec<Vec<Strand>> = references.iter().map(|_| Vec::new()).collect();
         let mut ready: Vec<usize> = (0..refs_len).filter(|&r| expected[r] == 0).collect();
-        let mut resident = 0usize;
-        let mut cursor = 0usize;
-        let mut exhausted = false;
-        let mut start = 0usize;
-        'route: while start < refs_len {
-            let len = window_len.min(refs_len - start);
-            let reads_per_group = workers
-                .par_map_len(len, |i| sample_reads(start + i))
-                .map_err(ArchiveError::Worker)?;
-            for group_reads in reads_per_group {
-                for read in group_reads {
+        let (mut resident, mut peak_pending) = (0usize, 0usize);
+        let (mut cursor, mut group, mut emitted) = (0usize, 0usize, 0usize);
+        let mut routed = WindowFn(|max: usize| {
+            while ready.len() < max && group < refs_len {
+                let len = window_len.min(refs_len - group);
+                let start = group;
+                let reads_per_group = workers
+                    .par_map_len(len, |i| sample_reads(start + i))
+                    .map_err(pool_failed)?;
+                for read in reads_per_group.into_iter().flatten() {
                     if let Some(r) = assignments[cursor] {
                         let r = r as usize;
                         pending[r].push(read);
@@ -504,60 +490,58 @@ fn archive_round_trip_windowed(
                     }
                     cursor += 1;
                 }
+                peak_pending = peak_pending.max(resident);
+                group += len;
             }
-            window.peak_resident_reads = window.peak_resident_reads.max(resident);
-            while ready.len() >= window_len {
-                let batch: Vec<usize> = ready.drain(..window_len).collect();
-                let clusters: Vec<Cluster> = batch
-                    .iter()
-                    .map(|&r| {
-                        Cluster::new(references[r].clone(), std::mem::take(&mut pending[r]))
-                    })
-                    .collect();
-                let admitted = decode_window(&clusters, resident, &mut window, &mut received)?;
-                resident -= dnasim_core::resident_reads(&clusters);
-                if admitted < clusters.len() {
-                    exhausted = true;
-                    break 'route;
-                }
+            if ready.is_empty() {
+                return Ok(None);
             }
-            start += len;
-        }
-        while !exhausted && !ready.is_empty() {
-            let take = window_len.min(ready.len());
-            let batch: Vec<usize> = ready.drain(..take).collect();
-            let clusters: Vec<Cluster> = batch
-                .iter()
-                .map(|&r| Cluster::new(references[r].clone(), std::mem::take(&mut pending[r])))
+            let take = max.min(ready.len());
+            let clusters: Vec<Cluster> = ready
+                .drain(..take)
+                .map(|r| Cluster::new(references[r].clone(), std::mem::take(&mut pending[r])))
                 .collect();
-            let admitted = decode_window(&clusters, resident, &mut window, &mut received)?;
             resident -= dnasim_core::resident_reads(&clusters);
-            if admitted < clusters.len() {
-                exhausted = true;
-            }
-        }
+            let batch = Batch::new(emitted, clusters);
+            emitted += take;
+            Ok(Some(batch))
+        });
+        let decoded =
+            fold(&mut routed, run.batch_size, run.budget, "decode", &mut window, &mut decode);
+        window.peak_resident_reads = window.peak_resident_reads.max(peak_pending);
+        decoded
     } else {
         // Perfect clustering: each reference's cluster is generated and
         // decoded inside one window — sequencing output for a window
         // exists only while that window decodes.
         reads_sequenced = read_counts.iter().sum();
-        let mut start = 0usize;
-        while start < refs_len {
-            let len = window_len.min(refs_len - start);
-            let clusters: Vec<Cluster> = workers
-                .par_map_len(len, |i| {
-                    let g = start + i;
-                    Cluster::new(references[g].clone(), sample_reads(g))
-                })
-                .map_err(ArchiveError::Worker)?;
-            let resident = dnasim_core::resident_reads(&clusters);
-            let admitted = decode_window(&clusters, resident, &mut window, &mut received)?;
-            if admitted < len {
-                // Budget exhausted mid-decode: the remaining clusters stay
-                // quarantined and erasure recovery absorbs what it can.
-                break;
+        let mut next = 0usize;
+        let mut sampled = WindowFn(|max: usize| {
+            if next >= refs_len {
+                return Ok(None);
             }
-            start += len;
+            let start = next;
+            let len = max.min(refs_len - start);
+            next += len;
+            let clusters = workers
+                .par_map_len(len, |i| {
+                    Cluster::new(references[start + i].clone(), sample_reads(start + i))
+                })
+                .map_err(pool_failed)?;
+            Ok(Some(Batch::new(start, clusters)))
+        });
+        fold(&mut sampled, run.batch_size, run.budget, "decode", &mut window, &mut decode)
+    };
+    if let Err(e) = decoded {
+        if let Some(panic) = worker_panic.take() {
+            return Err(ArchiveError::Worker(panic));
+        }
+        // Budget exhaustion leaves the undecoded clusters quarantined for
+        // erasure recovery to absorb; anything else stops the round trip.
+        let exhausted = matches!(e, DnasimError::DeadlineExceeded { .. })
+            && !run.budget.is_some_and(Budget::is_cancelled);
+        if !exhausted {
+            return Err(ArchiveError::Cancelled(e));
         }
     }
     // --- Erasure recovery: quarantined slots become erasures for the
@@ -666,14 +650,10 @@ mod tests {
         let whole =
             archive_round_trip(&data, &ArchiveConfig::default(), &mut seeded(31)).unwrap();
         for batch_size in [1, 4, 32, usize::MAX] {
-            let (streamed, window) = archive_round_trip_stream(
-                &data,
-                &ArchiveConfig::default(),
-                &mut seeded(31),
-                &ThreadPool::new(3),
-                batch_size,
-            )
-            .unwrap();
+            let run = Run { pool: ThreadPool::new(3), batch_size, budget: None };
+            let (streamed, window) =
+                archive_round_trip_stream(&data, &ArchiveConfig::default(), &mut seeded(31), &run)
+                    .unwrap();
             assert_eq!(streamed, whole, "batch_size={batch_size}");
             assert!(window.high_watermark <= batch_size);
             assert_eq!(window.clusters, whole.strands_written);
@@ -682,15 +662,40 @@ mod tests {
 
     #[test]
     fn streamed_round_trip_rejects_zero_batch() {
-        let err = archive_round_trip_stream(
-            &[1, 2, 3],
-            &ArchiveConfig::default(),
-            &mut seeded(1),
-            &ThreadPool::serial(),
-            0,
-        )
-        .unwrap_err();
+        let run = Run { batch_size: 0, ..Run::serial() };
+        let err =
+            archive_round_trip_stream(&[1, 2, 3], &ArchiveConfig::default(), &mut seeded(1), &run)
+                .unwrap_err();
         assert!(matches!(err, DnasimError::Config { .. }));
+    }
+
+    #[test]
+    fn budget_exhaustion_quarantines_and_cancellation_errors() {
+        let data: Vec<u8> = (0u8..=255).cycle().take(300).collect();
+        let config = ArchiveConfig {
+            mode: ArchiveMode::Lenient,
+            ..ArchiveConfig::default()
+        };
+        let mut cut = None;
+        for batch_size in [1, 4, usize::MAX] {
+            // Exhaustion: five decode attempts, the rest quarantined.
+            let budget = Budget::limited(5);
+            let run = Run { batch_size, budget: Some(&budget), ..Run::serial() };
+            let (report, window) =
+                archive_round_trip_stream(&data, &config, &mut seeded(31), &run).unwrap();
+            assert_eq!(window.clusters, 5, "batch_size={batch_size}");
+            assert!(report.clusters_quarantined >= report.strands_written - 5);
+            match &cut {
+                None => cut = Some(report),
+                Some(first) => assert_eq!(&report, first, "batch_size={batch_size}"),
+            }
+            // Cancellation: a typed deadline error naming the stage.
+            let cancelled = Budget::unlimited();
+            cancelled.token().cancel();
+            let run = Run { batch_size, budget: Some(&cancelled), ..Run::serial() };
+            let err = archive_round_trip_stream(&data, &config, &mut seeded(31), &run).unwrap_err();
+            assert!(matches!(err, DnasimError::DeadlineExceeded { stage: "decode", .. }));
+        }
     }
 
     #[test]

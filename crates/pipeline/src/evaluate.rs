@@ -1,9 +1,9 @@
 //! Dataset-level evaluation: run a reconstructor over every cluster and
 //! collect accuracy and positional error profiles.
 
-use dnasim_core::{Budget, ClusterSource, Dataset, DnasimError, WindowStats};
+use dnasim_core::{fold, Cluster, ClusterSource, Dataset, DnasimError, Strand, WindowStats};
 use dnasim_metrics::{AccuracyReport, PositionalProfile, ProfileKind};
-use dnasim_par::ThreadPool;
+use dnasim_par::{Run, ThreadPool};
 use dnasim_reconstruct::TraceReconstructor;
 
 /// Accuracy of `algorithm` over every cluster of `dataset`.
@@ -33,20 +33,15 @@ pub fn evaluate_reconstruction<A: TraceReconstructor + ?Sized>(
 ) -> AccuracyReport {
     let mut report = AccuracyReport::new();
     for cluster in dataset.iter() {
-        if cluster.is_erasure() {
-            report.record_erasure(cluster.reference());
-            continue;
-        }
-        let estimate = algorithm.reconstruct(cluster.reads(), cluster.reference().len());
-        report.record(cluster.reference(), &estimate);
+        record_estimate(&mut report, cluster, estimate(cluster, algorithm).as_ref());
     }
     report
 }
 
-/// Parallel counterpart of [`evaluate_reconstruction`]: clusters are
-/// reconstructed on `pool` (reconstruction is pure, so the estimates are
-/// byte-identical to the serial path) and the report is assembled serially
-/// in cluster order, so the result does not depend on the thread count.
+/// [`evaluate_reconstruction`] with clusters reconstructed on `pool`
+/// (reconstruction is pure, so the estimates are byte-identical to the
+/// serial path); the report is assembled serially in cluster order, so
+/// the result does not depend on the thread count.
 ///
 /// # Errors
 ///
@@ -59,28 +54,17 @@ pub fn evaluate_reconstruction_on<A>(
 where
     A: TraceReconstructor + Sync + ?Sized,
 {
-    let estimates = pool.par_map_indexed(dataset.clusters(), |_, cluster| {
-        if cluster.is_erasure() {
-            None
-        } else {
-            Some(algorithm.reconstruct(cluster.reads(), cluster.reference().len()))
-        }
-    })?;
     let mut report = AccuracyReport::new();
-    for (cluster, estimate) in dataset.iter().zip(&estimates) {
-        match estimate {
-            Some(estimate) => report.record(cluster.reference(), estimate),
-            None => report.record_erasure(cluster.reference()),
-        }
-    }
+    evaluate_window(&mut report, dataset.clusters(), algorithm, pool)?;
     Ok(report)
 }
 
-/// Streaming counterpart of [`evaluate_reconstruction_on`]: pulls
-/// clusters from `source` in bounded batches of at most `batch_size`,
-/// reconstructs each batch on `pool`, and folds the accuracy report in
-/// cluster order — at no point are more than `batch_size` clusters (plus
-/// their estimates) in flight.
+/// Pulls clusters from `source` in windows of `run.batch_size`,
+/// reconstructs each window on `run.pool`, and folds the accuracy report
+/// in cluster order — at no point are more than `run.batch_size` clusters
+/// (plus their estimates) in flight. With `run.budget`, each
+/// reconstructed cluster costs one work unit and exhaustion cuts the
+/// stream at the same global cluster at any batch size or thread count.
 ///
 /// Reconstruction is pure, so the report is byte-identical to the
 /// in-memory path for every batch size and thread count.
@@ -88,82 +72,55 @@ where
 /// # Errors
 ///
 /// [`DnasimError::Config`] for `batch_size == 0`,
-/// [`DnasimError::Degraded`] if a worker panicked, or whatever the
-/// source reports.
+/// [`DnasimError::DeadlineExceeded`] on budget exhaustion or
+/// cancellation, [`DnasimError::Degraded`] if a worker panicked, or
+/// whatever the source reports.
 pub fn evaluate_reconstruction_stream<S, A>(
     source: &mut S,
     algorithm: &A,
-    batch_size: usize,
-    pool: &ThreadPool,
+    run: &Run,
 ) -> Result<(AccuracyReport, WindowStats), DnasimError>
 where
     S: ClusterSource + ?Sized,
     A: TraceReconstructor + Sync + ?Sized,
 {
-    evaluate_reconstruction_stream_budgeted(source, algorithm, batch_size, pool, &Budget::unlimited())
-}
-
-/// [`evaluate_reconstruction_stream`] metered by a [`Budget`]: one work
-/// unit per reconstructed cluster (an empty batch charges one unit, so a
-/// stalled source trips the deadline instead of spinning). Admission
-/// happens in the serial fold loop, so exhaustion cuts the stream at the
-/// same global cluster at any batch size or thread count.
-///
-/// # Errors
-///
-/// [`DnasimError::DeadlineExceeded`] on exhaustion or cancellation, plus
-/// everything [`evaluate_reconstruction_stream`] can report.
-pub fn evaluate_reconstruction_stream_budgeted<S, A>(
-    source: &mut S,
-    algorithm: &A,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
-) -> Result<(AccuracyReport, WindowStats), DnasimError>
-where
-    S: ClusterSource + ?Sized,
-    A: TraceReconstructor + Sync + ?Sized,
-{
-    if batch_size == 0 {
-        return Err(DnasimError::config(
-            "batch_size",
-            "streaming batch size must be at least 1",
-        ));
-    }
     let mut report = AccuracyReport::new();
     let mut window = WindowStats::default();
-    loop {
-        budget.check("reconstruct")?;
-        let Some(batch) = source.next_batch(batch_size)? else {
-            break;
-        };
-        if batch.is_empty() {
-            budget.charge("reconstruct", 1)?;
-            continue;
-        }
-        let (estimates, admitted) = pool.par_map_admitted(budget, batch.clusters(), |_, cluster| {
-            if cluster.is_erasure() {
-                None
-            } else {
-                Some(algorithm.reconstruct(cluster.reads(), cluster.reference().len()))
-            }
-        })?;
-        if admitted > 0 {
-            window.batches += 1;
-            window.clusters += admitted;
-            window.high_watermark = window.high_watermark.max(admitted);
-            for (cluster, estimate) in batch.clusters()[..admitted].iter().zip(&estimates) {
-                match estimate {
-                    Some(estimate) => report.record(cluster.reference(), estimate),
-                    None => report.record_erasure(cluster.reference()),
-                }
-            }
-        }
-        if admitted < batch.len() {
-            return Err(budget.exceeded("reconstruct"));
-        }
-    }
+    fold(source, run.batch_size, run.budget, "reconstruct", &mut window, |batch| {
+        evaluate_window(&mut report, batch.clusters(), algorithm, &run.pool)
+    })?;
     Ok((report, window))
+}
+
+/// The reconstruction of one cluster; `None` for an erasure.
+fn estimate<A: TraceReconstructor + ?Sized>(cluster: &Cluster, algorithm: &A) -> Option<Strand> {
+    (!cluster.is_erasure())
+        .then(|| algorithm.reconstruct(cluster.reads(), cluster.reference().len()))
+}
+
+/// Scores one cluster's estimate; erasures count as total losses.
+fn record_estimate(report: &mut AccuracyReport, cluster: &Cluster, estimate: Option<&Strand>) {
+    match estimate {
+        Some(estimate) => report.record(cluster.reference(), estimate),
+        None => report.record_erasure(cluster.reference()),
+    }
+}
+
+/// Reconstructs one window of clusters on `pool` and scores it in order.
+fn evaluate_window<A>(
+    report: &mut AccuracyReport,
+    clusters: &[Cluster],
+    algorithm: &A,
+    pool: &ThreadPool,
+) -> Result<(), DnasimError>
+where
+    A: TraceReconstructor + Sync + ?Sized,
+{
+    let estimates = pool.par_map_indexed(clusters, |_, cluster| estimate(cluster, algorithm))?;
+    for (cluster, estimate) in clusters.iter().zip(&estimates) {
+        record_estimate(report, cluster, estimate.as_ref());
+    }
+    Ok(())
 }
 
 /// Post-reconstruction positional profiles: reconstruct every cluster and
@@ -179,12 +136,10 @@ pub fn post_reconstruction_profiles<A: TraceReconstructor + ?Sized>(
     let mut hamming = PositionalProfile::new(ProfileKind::Hamming, len);
     let mut gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, len);
     for cluster in dataset.iter() {
-        if cluster.is_erasure() {
-            continue;
+        if let Some(estimate) = estimate(cluster, algorithm) {
+            hamming.record(cluster.reference(), &estimate);
+            gestalt.record(cluster.reference(), &estimate);
         }
-        let estimate = algorithm.reconstruct(cluster.reads(), cluster.reference().len());
-        hamming.record(cluster.reference(), &estimate);
-        gestalt.record(cluster.reference(), &estimate);
     }
     (hamming, gestalt)
 }
@@ -202,128 +157,6 @@ pub fn pre_reconstruction_profiles(dataset: &Dataset) -> (PositionalProfile, Pos
         }
     }
     (hamming, gestalt)
-}
-
-/// Streaming counterpart of [`post_reconstruction_profiles`]: profiles
-/// accumulate batch-by-batch via [`PositionalProfile::merge`], with
-/// reconstruction fanned out on `pool`.
-///
-/// The profile length is pinned by the first cluster seen (exactly as the
-/// in-memory path pins it with `dataset.strand_len()`), so overflow
-/// clamping — and therefore the counts — match the in-memory profiles for
-/// every batch size.
-///
-/// # Errors
-///
-/// [`DnasimError::Config`] for `batch_size == 0`,
-/// [`DnasimError::Degraded`] if a worker panicked, or whatever the
-/// source reports.
-pub fn post_reconstruction_profiles_stream<S, A>(
-    source: &mut S,
-    algorithm: &A,
-    batch_size: usize,
-    pool: &ThreadPool,
-) -> Result<(PositionalProfile, PositionalProfile, WindowStats), DnasimError>
-where
-    S: ClusterSource + ?Sized,
-    A: TraceReconstructor + Sync + ?Sized,
-{
-    if batch_size == 0 {
-        return Err(DnasimError::config(
-            "batch_size",
-            "streaming batch size must be at least 1",
-        ));
-    }
-    let mut hamming = PositionalProfile::new(ProfileKind::Hamming, 0);
-    let mut gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, 0);
-    let mut len: Option<usize> = None;
-    let mut window = WindowStats::default();
-    while let Some(batch) = source.next_batch(batch_size)? {
-        if batch.is_empty() {
-            continue;
-        }
-        window.batches += 1;
-        window.clusters += batch.len();
-        window.high_watermark = window.high_watermark.max(batch.len());
-        let len = *len.get_or_insert_with(|| {
-            batch
-                .clusters()
-                .first()
-                .map(|c| c.reference().len())
-                .unwrap_or(0)
-        });
-        let estimates = pool.par_map_indexed(batch.clusters(), |_, cluster| {
-            if cluster.is_erasure() {
-                None
-            } else {
-                Some(algorithm.reconstruct(cluster.reads(), cluster.reference().len()))
-            }
-        })?;
-        let mut batch_hamming = PositionalProfile::new(ProfileKind::Hamming, len);
-        let mut batch_gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, len);
-        for (cluster, estimate) in batch.clusters().iter().zip(&estimates) {
-            if let Some(estimate) = estimate {
-                batch_hamming.record(cluster.reference(), estimate);
-                batch_gestalt.record(cluster.reference(), estimate);
-            }
-        }
-        hamming.merge(&batch_hamming);
-        gestalt.merge(&batch_gestalt);
-    }
-    Ok((hamming, gestalt, window))
-}
-
-/// Streaming counterpart of [`pre_reconstruction_profiles`]: compares
-/// every raw read against its reference, one bounded batch at a time,
-/// merging per-batch profiles into the totals.
-///
-/// # Errors
-///
-/// [`DnasimError::Config`] for `batch_size == 0`, or whatever the source
-/// reports.
-pub fn pre_reconstruction_profiles_stream<S>(
-    source: &mut S,
-    batch_size: usize,
-) -> Result<(PositionalProfile, PositionalProfile, WindowStats), DnasimError>
-where
-    S: ClusterSource + ?Sized,
-{
-    if batch_size == 0 {
-        return Err(DnasimError::config(
-            "batch_size",
-            "streaming batch size must be at least 1",
-        ));
-    }
-    let mut hamming = PositionalProfile::new(ProfileKind::Hamming, 0);
-    let mut gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, 0);
-    let mut len: Option<usize> = None;
-    let mut window = WindowStats::default();
-    while let Some(batch) = source.next_batch(batch_size)? {
-        if batch.is_empty() {
-            continue;
-        }
-        window.batches += 1;
-        window.clusters += batch.len();
-        window.high_watermark = window.high_watermark.max(batch.len());
-        let len = *len.get_or_insert_with(|| {
-            batch
-                .clusters()
-                .first()
-                .map(|c| c.reference().len())
-                .unwrap_or(0)
-        });
-        let mut batch_hamming = PositionalProfile::new(ProfileKind::Hamming, len);
-        let mut batch_gestalt = PositionalProfile::new(ProfileKind::GestaltAligned, len);
-        for cluster in batch.clusters() {
-            for read in cluster.reads() {
-                batch_hamming.record(cluster.reference(), read);
-                batch_gestalt.record(cluster.reference(), read);
-            }
-        }
-        hamming.merge(&batch_hamming);
-        gestalt.merge(&batch_gestalt);
-    }
-    Ok((hamming, gestalt, window))
 }
 
 /// The §3.2 fixed-coverage protocol: keep only clusters with coverage ≥
@@ -392,13 +225,9 @@ mod tests {
         let whole = evaluate_reconstruction(&ds, &MajorityVote);
         for batch_size in [1, 3, 5, usize::MAX] {
             for threads in [1, 4] {
-                let (report, window) = evaluate_reconstruction_stream(
-                    &mut ds.stream(),
-                    &MajorityVote,
-                    batch_size,
-                    &ThreadPool::new(threads),
-                )
-                .unwrap();
+                let run = Run { pool: ThreadPool::new(threads), batch_size, budget: None };
+                let (report, window) =
+                    evaluate_reconstruction_stream(&mut ds.stream(), &MajorityVote, &run).unwrap();
                 assert_eq!(report, whole, "batch_size={batch_size} threads={threads}");
                 assert_eq!(window.clusters, ds.len());
                 assert!(window.high_watermark <= batch_size);
@@ -407,43 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_profiles_match_in_memory() {
-        let mut rng = seeded(5);
-        let mut ds = Dataset::new();
-        for _ in 0..6 {
-            let r = Strand::random(20, &mut rng);
-            let reads = (0..3).map(|_| Strand::random(19, &mut rng)).collect();
-            ds.push(Cluster::new(r, reads));
-        }
-        let (post_h, post_g) = post_reconstruction_profiles(&ds, &MajorityVote);
-        let (pre_h, pre_g) = pre_reconstruction_profiles(&ds);
-        for batch_size in [1, 2, 4, usize::MAX] {
-            let (h, g, _) = post_reconstruction_profiles_stream(
-                &mut ds.stream(),
-                &MajorityVote,
-                batch_size,
-                &ThreadPool::serial(),
-            )
-            .unwrap();
-            assert_eq!(h, post_h, "post hamming batch_size={batch_size}");
-            assert_eq!(g, post_g, "post gestalt batch_size={batch_size}");
-            let (h, g, _) =
-                pre_reconstruction_profiles_stream(&mut ds.stream(), batch_size).unwrap();
-            assert_eq!(h, pre_h, "pre hamming batch_size={batch_size}");
-            assert_eq!(g, pre_g, "pre gestalt batch_size={batch_size}");
-        }
-    }
-
-    #[test]
     fn streaming_evaluation_rejects_zero_batch() {
         let ds = clean_dataset(2, 2, 10);
-        assert!(evaluate_reconstruction_stream(
-            &mut ds.stream(),
-            &MajorityVote,
-            0,
-            &ThreadPool::serial()
-        )
-        .is_err());
+        let run = Run { batch_size: 0, ..Run::serial() };
+        assert!(evaluate_reconstruction_stream(&mut ds.stream(), &MajorityVote, &run).is_err());
     }
 
     #[test]

@@ -10,10 +10,10 @@ use dnasim_channel::{
 };
 use dnasim_core::rng::{SeedSequence, SimRng};
 use dnasim_core::{
-    Batch, Cluster, ClusterSink, Dataset, DnasimError, EditOp, Strand, WindowStats,
+    pump, Batch, Cluster, ClusterSink, Dataset, DnasimError, EditOp, Strand, WindowStats,
 };
 use dnasim_metrics::PositionalProfile;
-use dnasim_par::ThreadPool;
+use dnasim_par::{Run, ThreadPool};
 use dnasim_profile::{edit_script_with, EditScratch, ErrorStats, LearnedModel, TieBreak};
 use dnasim_reconstruct::{
     BmaLookahead, DividerBma, Iterative, MsaReconstructor, TraceReconstructor, TwoWayIterative,
@@ -105,12 +105,17 @@ impl Experiments {
             scratch: EditScratch::new(),
             seen: 0,
         };
-        let pool = ThreadPool::from_env();
-        let generation = match config.generate_stream(GENERATE_BATCH, &pool, &mut tee) {
+        let run = Run {
+            pool: ThreadPool::from_env(),
+            batch_size: GENERATE_BATCH,
+            budget: None,
+        };
+        let generation = match config.generate_stream(&run, &mut tee) {
             Ok(stats) => stats,
             Err(_) => {
-                // A worker died mid-stream: fall back to the serial
-                // two-phase path (same bytes, no parallel machinery).
+                // A worker died mid-stream: fall back to serial generation
+                // (same bytes, no parallel machinery) pumped through the
+                // same windows.
                 tee = ProfilingTee {
                     clusters: Vec::new(),
                     stats: ErrorStats::new(),
@@ -119,13 +124,8 @@ impl Experiments {
                     seen: 0,
                 };
                 let twin = config.generate();
-                let mut stats = WindowStats::default();
-                for (start, cluster) in twin.iter().enumerate() {
-                    let batch = Batch::new(start, vec![cluster.clone()]);
-                    stats.record_window(1, cluster.reads().len());
-                    let _ = tee.accept(batch);
-                }
-                stats
+                pump(&mut twin.stream(), &mut tee, GENERATE_BATCH, None, "generate", Ok)
+                    .unwrap_or_default()
             }
         };
         let twin = Dataset::from_clusters(tee.clusters);

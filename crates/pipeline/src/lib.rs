@@ -11,11 +11,13 @@
 //! * [`archive_round_trip`] — the full write→store→read pipeline
 //!   composing codec, multi-stage channel, clustering and reconstruction.
 //!
-//! Every evaluation entry point has a `_stream` counterpart
-//! ([`evaluate_reconstruction_stream`], [`archive_round_trip_stream`],
-//! [`simulator_fidelity_stream`], the profile functions) that runs
-//! source→batch→pool→sink with a bounded window of clusters and
-//! byte-identical output (DESIGN.md §11).
+//! Each streaming stage has one entry point that takes a
+//! [`dnasim_par::Run`] ([`evaluate_reconstruction_stream`],
+//! [`archive_round_trip_stream`]): it runs source→window→pool→sink with
+//! at most `run.batch_size` clusters in flight, metered by the optional
+//! `run.budget`, with byte-identical output at every batch size and
+//! thread count (DESIGN.md §11). The in-memory forms are the same
+//! per-window code applied to the whole dataset.
 //!
 //! # Examples
 //!
@@ -41,17 +43,14 @@ mod experiments;
 mod table;
 
 pub use archive::{
-    archive_round_trip, archive_round_trip_on, archive_round_trip_stream,
-    archive_round_trip_stream_budgeted, ArchiveConfig, ArchiveError, ArchiveMode, ArchiveReport,
-    ErasureScheme,
+    archive_round_trip, archive_round_trip_on, archive_round_trip_stream, ArchiveConfig,
+    ArchiveError, ArchiveMode, ArchiveReport, ErasureScheme,
 };
-pub use fidelity::{simulator_fidelity, simulator_fidelity_stream, FidelityReport};
+pub use fidelity::{simulator_fidelity, FidelityReport};
 pub use random_access::{FilePool, PoolConfig, PoolError};
 pub use evaluate::{
     evaluate_reconstruction, evaluate_reconstruction_on, evaluate_reconstruction_stream,
-    evaluate_reconstruction_stream_budgeted, fixed_coverage_protocol,
-    post_reconstruction_profiles, post_reconstruction_profiles_stream,
-    pre_reconstruction_profiles, pre_reconstruction_profiles_stream,
+    fixed_coverage_protocol, post_reconstruction_profiles, pre_reconstruction_profiles,
 };
 pub use experiments::{cross_dataset_robustness, references_of, Experiments, SensitivityPoint};
 pub use table::{AccuracyCell, Table, TableRow};

@@ -46,10 +46,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod json;
 mod request;
 mod server;
 
+/// The JSONL framing's parser and writer, shared with the rest of the
+/// workspace from [`dnasim_core::json`].
+pub use dnasim_core::json;
 pub use request::{AlgorithmSpec, ModelSpec, Op, ProtocolError, Request};
 pub use server::{
     execute, execute_with, rejection, serve, serve_with_shutdown, ExecPolicy, Outcome,

@@ -15,12 +15,13 @@ use std::io::{BufRead, Write};
 
 use dnasim_channel::{CoverageModel, DnaSimulatorModel, ErrorModel, KeoliyaModel, Simulator};
 use dnasim_core::rng::{RngExt, SeedSequence};
-use dnasim_core::{Budget, CancelToken, Dataset, DnasimError, Strand, WindowStats};
+use dnasim_core::{
+    checked_batch_size, Budget, CancelToken, Dataset, DnasimError, Strand, WindowStats,
+};
 use dnasim_dataset::{fnv1a64, read_dataset, AnyDatasetWriter, DatasetWriter, Format, NanoporeTwinConfig};
-use dnasim_par::ThreadPool;
+use dnasim_par::{Run, ThreadPool};
 use dnasim_pipeline::{
-    archive_round_trip_stream_budgeted, evaluate_reconstruction_stream_budgeted, ArchiveConfig,
-    ArchiveMode,
+    archive_round_trip_stream, evaluate_reconstruction_stream, ArchiveConfig, ArchiveMode,
 };
 use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};
 use dnasim_reconstruct::{
@@ -293,11 +294,7 @@ where
     if config.window == 0 {
         return Err(DnasimError::config("window", "serve window must be at least 1").into());
     }
-    if config.batch_size == 0 {
-        return Err(
-            DnasimError::config("batch_size", "streaming batch size must be at least 1").into(),
-        );
-    }
+    checked_batch_size(config.batch_size)?;
     if config.max_batch == 0 {
         return Err(DnasimError::config("max_batch", "admission cap must be at least 1").into());
     }
@@ -559,7 +556,12 @@ pub fn execute_with(
             (None, Some(token)) => Budget::unlimited().with_token(token.clone()),
             (None, None) => Budget::unlimited(),
         };
-        let result = run_op(request, &attempt_ns, batch_size, &pool, &budget);
+        let run = Run {
+            pool,
+            batch_size,
+            budget: Some(&budget),
+        };
+        let result = run_op(request, &attempt_ns, &run);
         attempts += 1;
         match &result {
             Err(DnasimError::DeadlineExceeded { .. }) => break result,
@@ -654,27 +656,21 @@ struct OpOutput {
     degraded: bool,
 }
 
-fn run_op(
-    request: &Request,
-    namespace: &SeedSequence,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
-) -> Result<OpOutput, DnasimError> {
+fn run_op(request: &Request, namespace: &SeedSequence, run: &Run) -> Result<OpOutput, DnasimError> {
     match &request.op {
         Op::Generate {
             clusters,
             len,
             format,
-        } => op_generate(namespace, *clusters, *len, *format, batch_size, pool, budget),
+        } => op_generate(namespace, *clusters, *len, *format, run),
         Op::Corrupt { count, len, reads } => {
-            op_corrupt(namespace, *count, *len, *reads, batch_size, pool, budget)
+            op_corrupt(namespace, *count, *len, *reads, run)
         }
         Op::Simulate { dataset, model } => {
-            op_simulate(namespace, dataset, *model, batch_size, pool, budget)
+            op_simulate(namespace, dataset, *model, run)
         }
         Op::Evaluate { dataset, algorithm } => {
-            op_evaluate(dataset, *algorithm, batch_size, pool, budget)
+            op_evaluate(dataset, *algorithm, run)
         }
         // The archive format is admission-validated (unknown values are
         // rejected before the op runs) but does not change the round trip:
@@ -684,7 +680,7 @@ fn run_op(
             reads,
             lenient,
             format: _,
-        } => op_archive(namespace, *bytes, *reads, *lenient, batch_size, pool, budget),
+        } => op_archive(namespace, *bytes, *reads, *lenient, run),
     }
 }
 
@@ -700,9 +696,7 @@ fn op_generate(
     clusters: usize,
     len: usize,
     format: Format,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    run: &Run,
 ) -> Result<OpOutput, DnasimError> {
     let mut config = NanoporeTwinConfig::small();
     config.cluster_count = clusters;
@@ -712,7 +706,7 @@ fn op_generate(
     config.seed = namespace.derive("twin");
     let mut buf = Vec::new();
     let mut writer = AnyDatasetWriter::new(&mut buf, format);
-    let window = config.generate_stream_budgeted(batch_size, pool, budget, &mut writer)?;
+    let window = config.generate_stream(run, &mut writer)?;
     let (written, reads) = (writer.clusters_written(), writer.reads_written());
     writer
         .into_inner()
@@ -749,9 +743,7 @@ fn op_corrupt(
     count: usize,
     len: usize,
     reads: usize,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    run: &Run,
 ) -> Result<OpOutput, DnasimError> {
     let mut reference_rng = namespace.derive_rng("references");
     let references: Vec<Strand> = (0..count)
@@ -763,14 +755,7 @@ fn op_corrupt(
     );
     let channel = namespace.derive_seq("channel");
     let mut noisy = Dataset::new();
-    let window = simulator.simulate_stream_budgeted(
-        &references,
-        &channel,
-        batch_size,
-        pool,
-        budget,
-        &mut noisy,
-    )?;
+    let window = simulator.simulate_stream(&references, &channel, run, &mut noisy)?;
     let mut pairs = String::from("[");
     for (i, cluster) in noisy.iter().enumerate() {
         if i > 0 {
@@ -805,9 +790,7 @@ fn op_simulate(
     namespace: &SeedSequence,
     dataset: &str,
     model: ModelSpec,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    run: &Run,
 ) -> Result<OpOutput, DnasimError> {
     let parsed = read_dataset(dataset.as_bytes())?;
     let channel = namespace.derive_seq("channel");
@@ -824,9 +807,7 @@ fn op_simulate(
             ),
             &parsed,
             &channel,
-            batch_size,
-            pool,
-            budget,
+            run,
         ),
         ModelSpec::DnaSimulator => resimulate(
             &Simulator::new(
@@ -835,9 +816,7 @@ fn op_simulate(
             ),
             &parsed,
             &channel,
-            batch_size,
-            pool,
-            budget,
+            run,
         ),
         ModelSpec::Keoliya(layer) => resimulate(
             &Simulator::new(
@@ -846,9 +825,7 @@ fn op_simulate(
             ),
             &parsed,
             &channel,
-            batch_size,
-            pool,
-            budget,
+            run,
         ),
     }
 }
@@ -857,20 +834,11 @@ fn resimulate<M: ErrorModel + Sync>(
     simulator: &Simulator<M>,
     dataset: &Dataset,
     channel: &SeedSequence,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    run: &Run,
 ) -> Result<OpOutput, DnasimError> {
     let mut buf = Vec::new();
     let mut writer = DatasetWriter::new(&mut buf);
-    let window = simulator.resimulate_stream_budgeted(
-        &mut dataset.stream(),
-        channel,
-        batch_size,
-        pool,
-        budget,
-        &mut writer,
-    )?;
+    let window = simulator.resimulate_stream(&mut dataset.stream(), channel, run, &mut writer)?;
     let (clusters, reads) = (writer.clusters_written(), writer.reads_written());
     Ok(OpOutput {
         fields: vec![
@@ -886,23 +854,21 @@ fn resimulate<M: ErrorModel + Sync>(
 fn op_evaluate(
     dataset: &str,
     algorithm: AlgorithmSpec,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    run: &Run,
 ) -> Result<OpOutput, DnasimError> {
     let parsed = read_dataset(dataset.as_bytes())?;
     let (report, window) = match algorithm {
         AlgorithmSpec::Bma => {
-            evaluate_with(&BmaLookahead::default(), &parsed, batch_size, pool, budget)
+            evaluate_with(&BmaLookahead::default(), &parsed, run)
         }
-        AlgorithmSpec::DivBma => evaluate_with(&DividerBma, &parsed, batch_size, pool, budget),
+        AlgorithmSpec::DivBma => evaluate_with(&DividerBma, &parsed, run),
         AlgorithmSpec::Iterative => {
-            evaluate_with(&Iterative::default(), &parsed, batch_size, pool, budget)
+            evaluate_with(&Iterative::default(), &parsed, run)
         }
         AlgorithmSpec::IterativeTwoWay => {
-            evaluate_with(&TwoWayIterative::default(), &parsed, batch_size, pool, budget)
+            evaluate_with(&TwoWayIterative::default(), &parsed, run)
         }
-        AlgorithmSpec::Majority => evaluate_with(&MajorityVote, &parsed, batch_size, pool, budget),
+        AlgorithmSpec::Majority => evaluate_with(&MajorityVote, &parsed, run),
     }?;
     Ok(OpOutput {
         fields: vec![
@@ -929,17 +895,9 @@ fn op_evaluate(
 fn evaluate_with<A: TraceReconstructor + Sync>(
     algorithm: &A,
     dataset: &Dataset,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    run: &Run,
 ) -> Result<(dnasim_metrics::AccuracyReport, WindowStats), DnasimError> {
-    evaluate_reconstruction_stream_budgeted(
-        &mut dataset.stream(),
-        algorithm,
-        batch_size,
-        pool,
-        budget,
-    )
+    evaluate_reconstruction_stream(&mut dataset.stream(), algorithm, run)
 }
 
 fn op_archive(
@@ -947,9 +905,7 @@ fn op_archive(
     bytes: usize,
     reads: usize,
     lenient: bool,
-    batch_size: usize,
-    pool: &ThreadPool,
-    budget: &Budget,
+    run: &Run,
 ) -> Result<OpOutput, DnasimError> {
     let mut payload_rng = namespace.derive_rng("payload");
     let data: Vec<u8> = (0..bytes).map(|_| payload_rng.random::<u8>()).collect();
@@ -964,7 +920,7 @@ fn op_archive(
     };
     let mut channel_rng = namespace.derive_rng("channel");
     let (report, window) =
-        archive_round_trip_stream_budgeted(&data, &config, &mut channel_rng, pool, batch_size, budget)?;
+        archive_round_trip_stream(&data, &config, &mut channel_rng, run)?;
     let intact = report
         .data
         .get(..data.len())

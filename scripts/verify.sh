@@ -13,17 +13,18 @@
 #    determinism) must itself stay free of registry dependencies — every
 #    dependency line in its manifest is `path = …` / `workspace = true`.
 # 4. Build the whole workspace in release mode with the network disabled.
-# 5. Run the full test suite twice — at DNASIM_THREADS=1 and
+# 5. Run the root package's suite twice — at DNASIM_THREADS=1 and
 #    DNASIM_THREADS=4 — so every pool-backed stage is exercised both
 #    serial and parallel; the golden end-to-end snapshot
 #    (tests/golden_pipeline.rs → golden_pipeline.txt) is diffed under
 #    both thread counts, which is DESIGN.md §9's contract that thread
 #    count never changes output.
-# 6. Run every workspace test target once (`cargo test --workspace`):
-#    the crate unit, integration and doc tests that the root-package
-#    runs above do not reach — among them the q-gram prefilter's
+# 6. Run every workspace test target once (`cargo test`, whose default
+#    members are the facade and every crate): the crate unit,
+#    integration and doc tests — among them the q-gram prefilter's
 #    bitmap-vs-exact differential in dnasim-metrics, the codec, dataset,
 #    profile, reconstruct and channel property suites, and the CLI tests.
+#    The root package runs here a third time, as it always has.
 # 7. Run the chaos fault-injection suite in smoke mode.
 # 8. Guard: `crates/metrics` (the edit-distance kernels clustering and
 #    evaluation trust) must stay free of registry dependencies too.
@@ -59,6 +60,11 @@
 #    pipe must answer with a typed `deadline` response and exit 0
 #    (DESIGN.md §13).
 # 14. Lint gate: `cargo clippy --all-targets -- -D warnings` must pass.
+# 15. Guard: one entry point per stage — the streaming batch-size message
+#    appears at most once in non-test `crates/*/src` (every stage goes
+#    through `dnasim_core::checked_batch_size` and the one batch loop),
+#    and no `pub fn …_budgeted` variant exists (the budget travels in
+#    `dnasim_par::Run`).
 #
 # Usage: scripts/verify.sh
 
@@ -135,6 +141,37 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: non-test library sources are panic-free"
 
+echo "== one-entry-point guard (batch loop) =="
+
+# Cut every crate source at its first `#[cfg(test)]`, skip comments, and
+# count the batch-size check and any budgeted variant of an entry point.
+message_count=0
+budgeted=""
+while IFS= read -r src; do
+    body=$(awk '
+        /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        { printf "%d:%s\n", NR, $0 }
+    ' "$src")
+    n=$(printf '%s\n' "$body" | grep -c 'streaming batch size must be at least 1' || true)
+    message_count=$((message_count + n))
+    hits=$(printf '%s\n' "$body" | grep -E 'pub fn [A-Za-z0-9_]*_budgeted\b' || true)
+    if [ -n "$hits" ]; then
+        budgeted="$budgeted$src: $hits"$'\n'
+    fi
+done < <(find crates/*/src -name '*.rs')
+if [ "$message_count" -gt 1 ]; then
+    echo "ERROR: the batch-size check is written out $message_count times in crates/*/src;" \
+        "call dnasim_core::checked_batch_size instead" >&2
+    exit 1
+fi
+if [ -n "$budgeted" ]; then
+    echo "ERROR: budgeted entry-point variants found (pass the budget in a Run):" >&2
+    printf '%s' "$budgeted" | sed 's/^/    /' >&2
+    exit 1
+fi
+echo "ok: one batch-size check, no _budgeted entry points"
+
 echo "== parallel-crate dependency guard =="
 
 # The determinism of every pool-backed stage rests on crates/parallel, so
@@ -186,14 +223,14 @@ CARGO_NET_OFFLINE=true cargo build --release --workspace
 # builds its pool with ThreadPool::from_env(), so each run re-diffs the
 # checked-in golden_pipeline.txt snapshot under that worker count, and
 # tests/parallel_equivalence.rs covers the 1/2/4/8 grid internally.
-echo "== test suite (DNASIM_THREADS=1) =="
-CARGO_NET_OFFLINE=true DNASIM_THREADS=1 cargo test -q
+echo "== root test suite (DNASIM_THREADS=1) =="
+CARGO_NET_OFFLINE=true DNASIM_THREADS=1 cargo test -q -p dnasim
 
-echo "== test suite (DNASIM_THREADS=4) =="
-CARGO_NET_OFFLINE=true DNASIM_THREADS=4 cargo test -q
+echo "== root test suite (DNASIM_THREADS=4) =="
+CARGO_NET_OFFLINE=true DNASIM_THREADS=4 cargo test -q -p dnasim
 
 echo "== workspace test suite (every crate's targets) =="
-CARGO_NET_OFFLINE=true cargo test --workspace -q
+CARGO_NET_OFFLINE=true cargo test -q
 
 echo "== chaos suite (smoke) =="
 CARGO_NET_OFFLINE=true DNASIM_BENCH_FAST=1 cargo test -q -p dnasim-faults --test chaos

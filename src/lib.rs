@@ -62,6 +62,34 @@ pub use dnasim_reconstruct as reconstruct;
 pub use dnasim_serve as serve;
 
 /// The most commonly used items, importable in one line.
+///
+/// Streaming and metering go through one context, [`Run`](prelude::Run)
+/// `{ pool, batch_size, budget }`: every stage has one entry point taking
+/// `&Run`, and `Run::serial()` is one worker, one whole-input window and
+/// no budget.
+///
+/// ```
+/// use dnasim::prelude::*;
+///
+/// // Bounded memory: at most 16 clusters in flight, on 2 workers —
+/// // byte-identical to the in-memory path at any window or thread count.
+/// let mut config = NanoporeTwinConfig::small();
+/// config.cluster_count = 40;
+/// let run = Run { pool: ThreadPool::new(2), batch_size: 16, budget: None };
+/// let mut twin = Dataset::new();
+/// let window = config.generate_stream(&run, &mut twin)?;
+/// assert_eq!(twin, config.generate());
+/// assert!(window.high_watermark <= 16 && window.peak_resident_reads > 0);
+///
+/// // Metered: one work unit per cluster; exhaustion is a typed
+/// // `DeadlineExceeded` naming the stage, after the admitted prefix.
+/// let budget = Budget::limited(10);
+/// let metered = Run { budget: Some(&budget), ..run };
+/// let cut = evaluate_reconstruction_stream(&mut twin.stream(), &MajorityVote, &metered);
+/// assert!(cut.is_err());
+/// assert_eq!(budget.spent(), 10);
+/// # Ok::<(), dnasim::core::DnasimError>(())
+/// ```
 pub mod prelude {
     pub use dnasim_channel::{
         CoverageModel, DnaSimulatorModel, ErrorModel, FullHistogramModel, KeoliyaModel,
@@ -70,8 +98,9 @@ pub mod prelude {
     pub use dnasim_cluster::{GreedyClusterer, StreamingClusterer};
     pub use dnasim_core::rng::{seeded, SeedSequence, SimRng};
     pub use dnasim_core::{
-        pump, pump_prefetch, resident_reads, Base, Batch, Cluster, ClusterSink, ClusterSource,
-        Dataset, EditOp, EditScript, ErrorKind, PrefetchSource, Strand, WindowStats,
+        fold, pump, pump_indices, resident_reads, Base, Batch, Budget, Cluster, ClusterSink,
+        ClusterSource, Dataset, EditOp, EditScript, ErrorKind, PrefetchSource, Strand,
+        WindowStats,
     };
     pub use dnasim_dataset::{
         fnv1a64, read_dataset, read_dataset_auto, write_dataset, write_dataset_format,
@@ -79,12 +108,12 @@ pub mod prelude {
         DatasetReader, DatasetWriter, Format, NanoporeTwinConfig,
     };
     pub use dnasim_metrics::{gestalt_score, hamming, levenshtein, AccuracyReport};
-    pub use dnasim_par::ThreadPool;
+    pub use dnasim_par::{Run, ThreadPool};
     pub use dnasim_pipeline::{
         archive_round_trip, archive_round_trip_on, archive_round_trip_stream,
         evaluate_reconstruction, evaluate_reconstruction_on, evaluate_reconstruction_stream,
-        fixed_coverage_protocol, simulator_fidelity, simulator_fidelity_stream, ArchiveConfig,
-        Experiments, FilePool, PoolConfig,
+        fixed_coverage_protocol, simulator_fidelity, ArchiveConfig, Experiments, FilePool,
+        PoolConfig,
     };
     pub use dnasim_profile::{ErrorStats, LearnedModel, TieBreak};
     pub use dnasim_reconstruct::{

@@ -19,6 +19,13 @@ use dnasim::reconstruct::reconstruct_clusters;
 const SEEDS: [u64; 5] = [1, 7, 42, 0xD151_C0DE, u64::MAX - 3];
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
+/// The thread axis as [`Run`]s: one whole-input window per thread count.
+fn runs() -> impl Iterator<Item = Run<'static>> {
+    THREADS
+        .into_iter()
+        .map(|threads| Run { pool: ThreadPool::new(threads), ..Run::serial() })
+}
+
 /// Serialises a dataset to its on-disk byte representation.
 fn dataset_bytes(ds: &Dataset) -> Vec<u8> {
     let mut buffer = Vec::new();
@@ -36,16 +43,15 @@ fn simulated_reads_are_identical_across_thread_counts() {
             CoverageModel::negative_binomial(8.0, 2.0),
         );
         let seq = SeedSequence::new(seed);
-        let baseline = dataset_bytes(
-            &sim.simulate_on(&references, &seq, &ThreadPool::serial())
-                .unwrap(),
-        );
-        for threads in THREADS {
-            let out = dataset_bytes(
-                &sim.simulate_on(&references, &seq, &ThreadPool::new(threads))
-                    .unwrap(),
-            );
-            assert_eq!(out, baseline, "simulate: seed {seed}, {threads} threads");
+        let simulate = |run: &Run| {
+            let mut out = Dataset::new();
+            sim.simulate_stream(&references, &seq, run, &mut out).unwrap();
+            dataset_bytes(&out)
+        };
+        let baseline = simulate(&Run::serial());
+        for run in runs() {
+            let threads = run.pool.threads();
+            assert_eq!(simulate(&run), baseline, "simulate: seed {seed}, {threads} threads");
         }
     }
 }

@@ -5,21 +5,33 @@
 //! Why this holds by construction: every cluster's error stream is forked
 //! from the root seed by its *global* index (`SeedSequence::fork`), so
 //! neither the batch boundaries nor the scheduling order can change a
-//! single byte. These tests pin that argument down empirically at batch
-//! sizes {1, 7, 64, ∞}, three seeds, and 1 vs 4 worker threads — and
-//! re-diff the checked-in `golden_pipeline.txt` snapshot through the
-//! streaming entry points.
+//! single byte. These tests pin that argument down empirically over a
+//! sweep of [`Run`]s — batch sizes {1, 7, 64, ∞} × 1 vs 4 worker threads —
+//! at three seeds, in both cluster-file formats, and re-diff the
+//! checked-in `golden_pipeline.txt` snapshot through the streaming entry
+//! points.
 
 use std::fmt::Write as _;
 
 use dnasim::cluster::{GreedyClusterer, StreamingClusterer};
 use dnasim::dataset::NanoporeTwinConfig;
-use dnasim::par::ThreadPool;
+use dnasim::par::{Run, ThreadPool};
 use dnasim::pipeline::ArchiveMode;
 use dnasim::prelude::*;
 
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, usize::MAX];
 const SEEDS: [u64; 3] = [0x0060_1DE2, 11, 4242];
+
+/// The batch × thread grid: every batch size at 1 and at 4 workers.
+fn runs() -> impl Iterator<Item = Run<'static>> {
+    [1, 4].into_iter().flat_map(|threads| {
+        BATCH_SIZES.into_iter().map(move |batch_size| Run {
+            pool: ThreadPool::new(threads),
+            batch_size,
+            budget: None,
+        })
+    })
+}
 
 fn twin_config(seed: u64) -> NanoporeTwinConfig {
     NanoporeTwinConfig {
@@ -41,25 +53,23 @@ fn streamed_generation_is_byte_identical() {
     for seed in SEEDS {
         let config = twin_config(seed);
         let whole = to_bytes(&config.generate());
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            for batch_size in BATCH_SIZES {
-                let mut writer = DatasetWriter::new(Vec::new());
-                let window = config
-                    .generate_stream(batch_size, &pool, &mut writer)
-                    .expect("stream generation");
-                assert!(
-                    window.high_watermark <= batch_size,
-                    "window exceeded batch size: {} > {batch_size}",
-                    window.high_watermark
-                );
-                assert_eq!(window.clusters, config.cluster_count);
-                let bytes = writer.into_inner().expect("flush");
-                assert_eq!(
-                    bytes, whole,
-                    "seed={seed} threads={threads} batch_size={batch_size}"
-                );
-            }
+        for run in runs() {
+            let (threads, batch_size) = (run.pool.threads(), run.batch_size);
+            let mut writer = DatasetWriter::new(Vec::new());
+            let window = config
+                .generate_stream(&run, &mut writer)
+                .expect("stream generation");
+            assert!(
+                window.high_watermark <= batch_size,
+                "window exceeded batch size: {} > {batch_size}",
+                window.high_watermark
+            );
+            assert_eq!(window.clusters, config.cluster_count);
+            let bytes = writer.into_inner().expect("flush");
+            assert_eq!(
+                bytes, whole,
+                "seed={seed} threads={threads} batch_size={batch_size}"
+            );
         }
     }
 }
@@ -75,21 +85,19 @@ fn streamed_generation_is_byte_identical_in_every_format() {
         for format in [Format::Text, Format::Binary] {
             let mut expected = Vec::new();
             write_dataset_format(&whole, &mut expected, format).expect("write to memory");
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(threads);
-                for batch_size in BATCH_SIZES {
-                    let mut writer = AnyDatasetWriter::new(Vec::new(), format);
-                    let window = config
-                        .generate_stream(batch_size, &pool, &mut writer)
-                        .expect("stream generation");
-                    assert!(window.high_watermark <= batch_size);
-                    assert_eq!(window.clusters, config.cluster_count);
-                    let bytes = writer.into_inner().expect("flush");
-                    assert_eq!(
-                        bytes, expected,
-                        "seed={seed} format={format} threads={threads} batch_size={batch_size}"
-                    );
-                }
+            for run in runs() {
+                let (threads, batch_size) = (run.pool.threads(), run.batch_size);
+                let mut writer = AnyDatasetWriter::new(Vec::new(), format);
+                let window = config
+                    .generate_stream(&run, &mut writer)
+                    .expect("stream generation");
+                assert!(window.high_watermark <= batch_size);
+                assert_eq!(window.clusters, config.cluster_count);
+                let bytes = writer.into_inner().expect("flush");
+                assert_eq!(
+                    bytes, expected,
+                    "seed={seed} format={format} threads={threads} batch_size={batch_size}"
+                );
             }
         }
     }
@@ -113,7 +121,8 @@ fn streamed_round_trip_is_format_invariant_with_and_without_prefetch() {
                     AnyDatasetReader::detect(&encoded[..]).expect("magic-byte detection");
                 assert_eq!(reader.format(), format, "wrong format detected");
                 let mut copy = Dataset::new();
-                let window = pump(&mut reader, &mut copy, batch_size, Ok).expect("pump");
+                let window =
+                    pump(&mut reader, &mut copy, batch_size, None, "copy", Ok).expect("pump");
                 assert!(window.high_watermark <= batch_size);
                 assert_eq!(
                     to_bytes(&copy),
@@ -121,15 +130,17 @@ fn streamed_round_trip_is_format_invariant_with_and_without_prefetch() {
                     "seed={seed} format={format} batch_size={batch_size}"
                 );
 
-                // The prefetch pump decodes batch k+1 on its own worker
+                // The prefetch source decodes batch k+1 on its own worker
                 // thread; the hand-off must not reorder or drop a cluster.
                 let reader = AnyDatasetReader::detect(std::io::Cursor::new(encoded.clone()))
                     .expect("magic-byte detection");
+                let mut prefetch =
+                    PrefetchSource::spawn(reader, batch_size).expect("spawn prefetch");
                 let mut copy = Dataset::new();
-                let window = pump_prefetch(reader, &mut copy, batch_size, Ok)
+                pump(&mut prefetch, &mut copy, batch_size, None, "copy", Ok)
                     .expect("prefetch pump");
                 // Double buffering holds at most two batches in flight.
-                assert!(window.high_watermark <= batch_size.saturating_mul(2));
+                assert!(prefetch.stats().high_watermark <= batch_size.saturating_mul(2));
                 assert_eq!(
                     to_bytes(&copy),
                     text,
@@ -157,22 +168,20 @@ fn streamed_resimulation_is_byte_identical() {
                 .resimulate_matching_on(&twin, &seq, &ThreadPool::serial())
                 .expect("in-memory resimulation"),
         );
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            for batch_size in BATCH_SIZES {
-                let mut source = twin.stream();
-                let mut writer = DatasetWriter::new(Vec::new());
-                let window = simulator
-                    .resimulate_stream(&mut source, &seq, batch_size, &pool, &mut writer)
-                    .expect("stream resimulation");
-                assert!(window.high_watermark <= batch_size);
-                assert_eq!(window.clusters, twin.len());
-                let bytes = writer.into_inner().expect("flush");
-                assert_eq!(
-                    bytes, whole,
-                    "seed={seed} threads={threads} batch_size={batch_size}"
-                );
-            }
+        for run in runs() {
+            let (threads, batch_size) = (run.pool.threads(), run.batch_size);
+            let mut source = twin.stream();
+            let mut writer = DatasetWriter::new(Vec::new());
+            let window = simulator
+                .resimulate_stream(&mut source, &seq, &run, &mut writer)
+                .expect("stream resimulation");
+            assert!(window.high_watermark <= batch_size);
+            assert_eq!(window.clusters, twin.len());
+            let bytes = writer.into_inner().expect("flush");
+            assert_eq!(
+                bytes, whole,
+                "seed={seed} threads={threads} batch_size={batch_size}"
+            );
         }
     }
 }
@@ -188,7 +197,7 @@ fn streamed_round_trip_through_io_is_lossless() {
             let mut reader = DatasetReader::new(&text[..]);
             let mut copy = Dataset::new();
             let window =
-                pump(&mut reader, &mut copy, batch_size, Ok).expect("pump");
+                pump(&mut reader, &mut copy, batch_size, None, "copy", Ok).expect("pump");
             assert!(window.high_watermark <= batch_size);
             assert_eq!(to_bytes(&copy), text, "seed={seed} batch_size={batch_size}");
         }
@@ -216,10 +225,11 @@ fn streamed_pipeline_matches_golden_snapshot() {
             .expect("golden snapshot (regenerate via golden_pipeline test)")
     };
     for batch_size in BATCH_SIZES {
+        let run = Run { pool, batch_size, budget: None };
         // --- Simulate, streamed. ---
         let mut twin = Dataset::new();
         let window = config
-            .generate_stream(batch_size, &pool, &mut twin)
+            .generate_stream(&run, &mut twin)
             .expect("stream generation");
         assert!(window.high_watermark <= batch_size);
 
@@ -264,13 +274,9 @@ fn streamed_pipeline_matches_golden_snapshot() {
             Box::new(TwoWayIterative::default()),
             Box::new(MajorityVote),
         ] {
-            let (report, window) = evaluate_reconstruction_stream(
-                &mut clustered.stream(),
-                &algorithm,
-                batch_size,
-                &pool,
-            )
-            .expect("streamed evaluation");
+            let (report, window) =
+                evaluate_reconstruction_stream(&mut clustered.stream(), &algorithm, &run)
+                    .expect("streamed evaluation");
             assert!(window.high_watermark <= batch_size);
             let _ = writeln!(
                 out,
@@ -298,10 +304,10 @@ fn streaming_clusterer_matches_materialised_at_any_batch_size() {
         for threads in [1usize, 4] {
             // The twin itself arrives through the streaming generator (the
             // thread count must not change a byte of the read pool).
-            let pool_workers = ThreadPool::new(threads);
+            let run = Run { pool: ThreadPool::new(threads), batch_size: 16, budget: None };
             let mut twin = Dataset::new();
             config
-                .generate_stream(16, &pool_workers, &mut twin)
+                .generate_stream(&run, &mut twin)
                 .expect("stream generation");
             let references = dnasim::pipeline::references_of(&twin);
             let mut rng = seeded(seed ^ 0xC1);
@@ -366,30 +372,23 @@ fn windowed_archive_report_is_batch_and_thread_invariant() {
             ..ArchiveConfig::default()
         };
         let mut baseline = None;
-        for threads in [1usize, 4] {
-            for batch_size in BATCH_SIZES {
-                let mut rng = seeded(7);
-                let (report, window) = archive_round_trip_stream(
-                    &data,
-                    &config,
-                    &mut rng,
-                    &ThreadPool::new(threads),
-                    batch_size,
-                )
+        for run in runs() {
+            let (threads, batch_size) = (run.pool.threads(), run.batch_size);
+            let mut rng = seeded(7);
+            let (report, window) = archive_round_trip_stream(&data, &config, &mut rng, &run)
                 .expect("windowed archive");
-                assert_eq!(&report.data[..data.len()], &data[..], "payload lost");
-                assert!(
-                    window.high_watermark <= batch_size,
-                    "decode window exceeded batch size"
-                );
-                assert!(window.peak_resident_reads > 0, "read gauge never moved");
-                match &baseline {
-                    None => baseline = Some(report),
-                    Some(expected) => assert_eq!(
-                        &report, expected,
-                        "imperfect={imperfect} threads={threads} batch_size={batch_size}"
-                    ),
-                }
+            assert_eq!(&report.data[..data.len()], &data[..], "payload lost");
+            assert!(
+                window.high_watermark <= batch_size,
+                "decode window exceeded batch size"
+            );
+            assert!(window.peak_resident_reads > 0, "read gauge never moved");
+            match &baseline {
+                None => baseline = Some(report),
+                Some(expected) => assert_eq!(
+                    &report, expected,
+                    "imperfect={imperfect} threads={threads} batch_size={batch_size}"
+                ),
             }
         }
     }
@@ -408,9 +407,9 @@ fn windowed_archive_bounds_resident_reads_by_batch() {
             ..ArchiveConfig::default()
         };
         let mut rng = seeded(7);
+        let run = Run { pool: ThreadPool::new(2), batch_size: 4, budget: None };
         let (report, window) =
-            archive_round_trip_stream(&data, &config, &mut rng, &ThreadPool::new(2), 4)
-                .expect("windowed archive");
+            archive_round_trip_stream(&data, &config, &mut rng, &run).expect("windowed archive");
         assert!(
             window.peak_resident_reads < report.reads_sequenced / 2,
             "imperfect={imperfect}: peak {} reads resident is not bounded by the window \
@@ -418,5 +417,79 @@ fn windowed_archive_bounds_resident_reads_by_batch() {
             window.peak_resident_reads,
             report.reads_sequenced
         );
+    }
+}
+
+/// The peak reads held by one window when `dataset` is cut into windows
+/// of `batch_size` clusters — what every stage's gauge must report.
+fn peak_window_reads(dataset: &Dataset, batch_size: usize) -> usize {
+    dataset
+        .clusters()
+        .chunks(batch_size.min(dataset.len().max(1)))
+        .map(resident_reads)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Every streaming stage reports the memory gauge: its
+/// `peak_resident_reads` is the maximum over windows of the reads the
+/// window held, at every batch size — the number the bounded-memory
+/// claims rest on.
+#[test]
+fn every_streaming_stage_reports_peak_resident_reads() {
+    let config = twin_config(SEEDS[0]);
+    let twin = config.generate();
+    let references = dnasim::pipeline::references_of(&twin);
+    let seq = SeedSequence::new(SEEDS[0]);
+    let simulator = Simulator::new(
+        NaiveModel::with_total_rate(0.059),
+        CoverageModel::negative_binomial(8.0, 2.0),
+    );
+    for batch_size in [1, 7, usize::MAX] {
+        let run = Run { pool: ThreadPool::new(2), batch_size, budget: None };
+        let expected = peak_window_reads(&twin, batch_size);
+        assert!(expected > 0);
+
+        let mut generated = Dataset::new();
+        let window = config.generate_stream(&run, &mut generated).expect("generate");
+        assert_eq!(window.peak_resident_reads, expected, "generate batch_size={batch_size}");
+
+        let mut simulated = Dataset::new();
+        let window = simulator
+            .simulate_stream(&references, &seq, &run, &mut simulated)
+            .expect("simulate");
+        assert_eq!(
+            window.peak_resident_reads,
+            peak_window_reads(&simulated, batch_size),
+            "simulate batch_size={batch_size}"
+        );
+
+        let mut resimulated = Dataset::new();
+        let window = simulator
+            .resimulate_stream(&mut twin.stream(), &seq, &run, &mut resimulated)
+            .expect("resimulate");
+        assert_eq!(window.peak_resident_reads, expected, "resimulate batch_size={batch_size}");
+
+        let (_, window) = evaluate_reconstruction_stream(&mut twin.stream(), &MajorityVote, &run)
+            .expect("evaluate");
+        assert_eq!(window.peak_resident_reads, expected, "evaluate batch_size={batch_size}");
+
+        let (_, window) =
+            ErrorStats::from_source(&mut twin.stream(), batch_size, TieBreak::Random, &mut seeded(1))
+                .expect("profile");
+        assert_eq!(window.peak_resident_reads, expected, "profile batch_size={batch_size}");
+
+        // The archive's windows are decode windows over clusters it
+        // regenerates; with perfect clustering one whole-pool window holds
+        // every sequenced read.
+        let data: Vec<u8> = (0..128u8).collect();
+        let (report, window) =
+            archive_round_trip_stream(&data, &ArchiveConfig::default(), &mut seeded(7), &run)
+                .expect("archive");
+        assert!(window.peak_resident_reads > 0, "archive batch_size={batch_size}");
+        assert!(window.peak_resident_reads <= report.reads_sequenced);
+        if batch_size == usize::MAX {
+            assert_eq!(window.peak_resident_reads, report.reads_sequenced);
+        }
     }
 }
